@@ -1,31 +1,23 @@
 (* AST-level determinism analyzer, CLI (see DESIGN.md §12).
 
-   Where bin/lint.ml scans tokens line by line, this parses every
-   .ml/.mli under the given directories into a Parsetree (via
-   compiler-libs) and runs the semantics-aware rules of lib/analysis:
-
-     effect-taint        call paths from DES/raft/parallel entry points
-                         to banned ambient effects, through wrappers
-     shared-state        top-level mutable values in modules reachable
-                         from domain-spawned closures
-     protocol-wildcard   catch-all arms in matches over [@@protocol]
-                         variant constructors
-     parse-error         a file the frontend cannot parse
+   Parses every .ml/.mli under the given directories into a Parsetree
+   (via compiler-libs) and runs every rule of lib/analysis
+   ([Analysis.rules]): effect taint, cross-domain shared state,
+   protocol-match exhaustiveness, parse errors, and the local
+   banned-construct rules over lib/.
 
    Usage:
      analyze.exe [--allow FILE] DIR...   scan; exit 1 on unsuppressed hits
+                                         or on allowlist entries that
+                                         suppress nothing
      analyze.exe --self-test DIR         fixture mode: every rule must fire
                                          in bad*.ml files, none in good*.ml
 
-   The allowlist is the same file and format as the lint's
-   ([path-suffix:rule-id] lines, # comments); rule ids are disjoint
-   from the lint's, so both tools share lint.allow. *)
+   The allowlist (lint.allow) holds [path-suffix:rule-id] lines, with
+   # comments; an entry suppresses findings of that rule in files whose
+   path ends with the suffix. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let rec source_files path =
   if Sys.is_directory path then
@@ -52,18 +44,25 @@ let load_allow path =
 
 let run_scan ~allow dirs =
   let config = Analysis.Driver.default_config ~allow () in
-  let findings = Analysis.analyze ~config (load_files dirs) in
+  let findings, stale = Analysis.Driver.check ~config (load_files dirs) in
   List.iter
     (fun f -> prerr_endline (Analysis.Finding.render f))
     findings;
-  if findings = [] then print_endline "analysis: clean"
+  List.iter
+    (fun (suffix, rule) ->
+      Printf.eprintf "analysis: stale allowlist entry %s:%s suppresses no \
+                      finding\n"
+        suffix rule)
+    stale;
+  if findings = [] && stale = [] then print_endline "analysis: clean"
   else begin
-    Printf.eprintf "analysis: %d finding(s)\n" (List.length findings);
+    Printf.eprintf "analysis: %d finding(s), %d stale allowlist line(s)\n"
+      (List.length findings) (List.length stale);
     exit 1
   end
 
-(* Fixture mode, mirroring lint --self-test: fixtures are given virtual
-   paths under lib/raft/ so they sit in a taint entry domain; every
+(* Fixture mode: fixtures are given virtual paths under lib/raft/ so
+   they sit in a taint entry domain and every local rule's scope; every
    rule must fire at least once across bad*.ml, and good*.ml must stay
    entirely clean. *)
 let self_test dir =

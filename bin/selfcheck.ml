@@ -365,22 +365,36 @@ let broken_fixture () =
    wired into this binary still detects each semantic rule and reports
    nothing on clean input. *)
 let analyzer_smoke () =
-  let analyze path content = Analysis.analyze [ { Analysis.path; content } ] in
-  let expect rule path content =
-    let fs = analyze path content in
-    if
-      not
-        (List.exists (fun (f : Analysis.Finding.t) -> f.rule = rule) fs)
-    then fail "analyzer smoke: rule %s did not fire" rule
+  let analyze content =
+    Analysis.analyze [ { Analysis.path = "lib/raft/smoke.ml"; content } ]
   in
-  expect "effect-taint" "lib/raft/smoke.ml" "let tick () = Unix.gettimeofday ()";
-  expect "shared-state" "lib/raft/smoke.ml"
-    "let t = Hashtbl.create 4\n\
-     let work x = Hashtbl.length t + x\n\
-     let run p xs = Pool.map p work xs";
-  expect "protocol-wildcard" "lib/raft/smoke.ml"
-    "type m = A | B [@@protocol]\nlet f = function A -> 0 | _ -> 1";
-  match analyze "lib/raft/smoke.ml" "let pure x = x + 1" with
+  List.iter
+    (fun (rule, content) ->
+      if
+        not
+          (List.exists
+             (fun (f : Analysis.Finding.t) -> f.rule = rule)
+             (analyze content))
+      then fail "analyzer smoke: rule %s did not fire" rule)
+    [
+      ("effect-taint", "let tick () = Unix.gettimeofday ()");
+      ( "shared-state",
+        "let t = Hashtbl.create 4\n\
+         let work x = Hashtbl.length t + x\n\
+         let run p xs = Pool.map p work xs" );
+      ( "protocol-wildcard",
+        "type m = A | B [@@protocol]\nlet f = function A -> 0 | _ -> 1" );
+      ("wall-clock", "let t () = Sys.time ()");
+      ("global-rng", "let r () = Random.bits ()");
+      ("obj-magic", "let c x = Obj.magic x");
+      ("poly-compare", "let c a b = Stdlib.compare a b");
+      ("direct-print", "let p s = prerr_endline s");
+      ("stdlib-exit", "let e () = exit 3");
+      ("raw-fabric-send", "let s f m = Netsim.Fabric.send f m");
+      ("mutable-global", "let g = ref 0");
+      ("hot-alloc", "let[@hot] h xs = Array.of_list xs");
+    ];
+  match analyze "let pure x = x + 1" with
   | [] -> ()
   | f :: _ ->
       fail "analyzer smoke: clean source flagged: %s"

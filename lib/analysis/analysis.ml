@@ -8,6 +8,7 @@ module Callgraph = Callgraph
 module Effects = Effects
 module Shared_state = Shared_state
 module Exhaustive = Exhaustive
+module Lint = Lint
 module Driver = Driver
 
 type file = Driver.file = { path : string; content : string }

@@ -27,6 +27,7 @@ type value = {
   vname : string;  (* "f", "Sub.g", or "(init)" *)
   vline : int;
   vrefs : (string list * int) list;  (* flattened idents in the body *)
+  vlocals : string list;  (* names bound by patterns in the binding *)
 }
 
 type t = {
@@ -63,21 +64,20 @@ let collect_idents run =
 
 let idents_of_expr e = collect_idents (fun it -> it.Ast_iterator.expr it e)
 
-let idents_of_module_expr m =
-  collect_idents (fun it -> it.Ast_iterator.module_expr it m)
-
-let pattern_names pat =
+let collect_names run =
   let acc = ref [] in
-  let pat_it self (p : Parsetree.pattern) =
+  let pat self (p : Parsetree.pattern) =
     (match p.ppat_desc with
     | Parsetree.Ppat_var name | Parsetree.Ppat_alias (_, name) ->
         acc := name.Asttypes.txt :: !acc
     | _ -> ());
     Ast_iterator.default_iterator.pat self p
   in
-  let it = { Ast_iterator.default_iterator with pat = pat_it } in
-  it.Ast_iterator.pat it pat;
+  let it = { Ast_iterator.default_iterator with pat } in
+  run it;
   List.rev !acc
+
+let pattern_names p = collect_names (fun it -> it.Ast_iterator.pat it p)
 
 (* {1 Graph construction} *)
 
@@ -88,12 +88,21 @@ type builder = {
   bby_key : (string, value) Hashtbl.t;
 }
 
-let add_value b ~path ~lib ~modname ~name ~line refs =
+(* [fragment] feeds the binding's AST to an iterator: its identifiers
+   become the value's references, its pattern variables its locals. *)
+let add_value b ~path ~lib ~modname ~name ~line fragment =
+  let refs = collect_idents fragment and locals = collect_names fragment in
   let k = key ~path ~name in
   match Hashtbl.find_opt b.bby_key k with
   | Some existing ->
       (* several [let () = ...] blocks pool into one (init) node *)
-      let merged = { existing with vrefs = existing.vrefs @ refs } in
+      let merged =
+        {
+          existing with
+          vrefs = existing.vrefs @ refs;
+          vlocals = existing.vlocals @ locals;
+        }
+      in
       Hashtbl.replace b.bby_key k merged;
       b.bvalues <-
         merged :: List.filter (fun v -> value_key v <> k) b.bvalues
@@ -106,6 +115,7 @@ let add_value b ~path ~lib ~modname ~name ~line refs =
           vname = name;
           vline = line;
           vrefs = refs;
+          vlocals = locals;
         }
       in
       Hashtbl.replace b.bby_key k v;
@@ -120,28 +130,31 @@ let rec structure_values b ~path ~lib ~modname ~prefix items =
           List.iter
             (fun (vb : Parsetree.value_binding) ->
               let names = pattern_names vb.pvb_pat in
-              let refs = idents_of_expr vb.pvb_expr in
+              let fragment it =
+                it.Ast_iterator.pat it vb.pvb_pat;
+                it.Ast_iterator.expr it vb.pvb_expr
+              in
               let line = Source.line_of_loc vb.pvb_loc in
               match names with
               | [] ->
                   add_value b ~path ~lib ~modname ~name:(prefix ^ init_name)
-                    ~line refs
+                    ~line fragment
               | names ->
                   List.iter
                     (fun n ->
                       add_value b ~path ~lib ~modname ~name:(prefix ^ n) ~line
-                        refs)
+                        fragment)
                     names)
             vbs
       | Parsetree.Pstr_eval (e, _) ->
           add_value b ~path ~lib ~modname ~name:(prefix ^ init_name) ~line
-            (idents_of_expr e)
+            (fun it -> it.Ast_iterator.expr it e)
       | Parsetree.Pstr_module mb -> bind_module b ~path ~lib ~modname ~prefix mb
       | Parsetree.Pstr_recmodule mbs ->
           List.iter (bind_module b ~path ~lib ~modname ~prefix) mbs
       | Parsetree.Pstr_include incl ->
           add_value b ~path ~lib ~modname ~name:(prefix ^ init_name) ~line
-            (idents_of_module_expr incl.pincl_mod)
+            (fun it -> it.Ast_iterator.module_expr it incl.pincl_mod)
       | _ -> ())
     items
 
@@ -156,10 +169,10 @@ and bind_module b ~path ~lib ~modname ~prefix (mb : Parsetree.module_binding) =
       | _ ->
           (* functor / alias / constrained module: one opaque node *)
           add_value b ~path ~lib ~modname ~name:(prefix ^ m) ~line
-            (idents_of_module_expr mb.pmb_expr))
+            (fun it -> it.Ast_iterator.module_expr it mb.pmb_expr))
   | None ->
       add_value b ~path ~lib ~modname ~name:(prefix ^ init_name) ~line
-        (idents_of_module_expr mb.pmb_expr)
+        (fun it -> it.Ast_iterator.module_expr it mb.pmb_expr)
 
 let build (sources : Source.t list) =
   let b = { bvalues = []; bby_key = Hashtbl.create 256 } in

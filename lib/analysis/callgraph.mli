@@ -16,6 +16,9 @@ type value = {
   vline : int;
   vrefs : (string list * int) list;
       (** every flattened identifier the body references, with its line *)
+  vlocals : string list;
+      (** every variable a pattern of the binding binds: its name(s),
+          parameters, local [let]s and match arms *)
 }
 
 type t = {

@@ -1,6 +1,7 @@
 (* The analyzer driver: parse every file, run the rule passes, apply
-   the allowlist, and return sorted findings.  Pure — the caller
-   (bin/analyze.ml, selfcheck, tests) owns printing and process exit. *)
+   the allowlist, and return sorted findings plus the stale allowlist
+   entries.  Pure — the caller (bin/analyze.ml, selfcheck, tests) owns
+   printing and process exit. *)
 
 type file = { path : string; content : string }
 
@@ -63,17 +64,13 @@ let rules =
       "catch-all arm in a match over [@@protocol] variant constructors \
        (growing the protocol would be silently swallowed)" );
   ]
-
-let contains path dir =
-  let n = String.length path and m = String.length dir in
-  let rec go i =
-    i + m <= n && (String.equal (String.sub path i m) dir || go (i + 1))
-  in
-  go 0
+  @ Lint.rules
 
 let library_of config path =
   match
-    List.find_opt (fun (dir, _) -> contains path (dir ^ "/")) config.libraries
+    List.find_opt
+      (fun (dir, _) -> Source.contains path (dir ^ "/"))
+      config.libraries
   with
   | Some (_, wrapper) -> wrapper
   | None -> ""
@@ -84,7 +81,7 @@ let parse_findings (s : Source.t) =
       [ Finding.v ~path:s.path ~line ~rule:"parse-error" error ]
   | Source.Impl _ | Source.Intf _ -> []
 
-let analyze ?config files =
+let check ?config files =
   let config =
     match config with Some c -> c | None -> default_config ()
   in
@@ -96,16 +93,20 @@ let analyze ?config files =
       files
   in
   let cg = Callgraph.build sources in
-  let exempt_taint path =
-    Finding.allowed config.allow ~path ~rule:Effects.rule
-  in
   let findings =
     List.concat_map parse_findings sources
-    @ Effects.findings ~entry_dirs:config.entry_dirs ~exempt:exempt_taint cg
+    @ Effects.findings ~entry_dirs:config.entry_dirs cg
     @ Shared_state.findings cg sources
     @ Exhaustive.findings sources
+    @ Lint.findings cg sources
   in
-  findings
-  |> List.filter (fun (f : Finding.t) ->
-         not (Finding.allowed config.allow ~path:f.path ~rule:f.rule))
-  |> List.sort_uniq Finding.compare
+  let suppressed_by allow (f : Finding.t) =
+    Finding.allowed allow ~path:f.path ~rule:f.rule
+  in
+  ( List.filter (fun f -> not (suppressed_by config.allow f)) findings
+    |> List.sort_uniq Finding.compare,
+    List.filter
+      (fun entry -> not (List.exists (suppressed_by [ entry ]) findings))
+      config.allow )
+
+let analyze ?config files = fst (check ?config files)

@@ -22,7 +22,11 @@ val default_config : ?allow:Finding.allow -> unit -> config
 val rules : (string * string) list
 (** [(rule-id, one-line doc)] for every rule the driver can emit. *)
 
-val analyze : ?config:config -> file list -> Finding.t list
-(** Returns unsuppressed findings, sorted and de-duplicated.  Pure:
+val check : ?config:config -> file list -> Finding.t list * Finding.allow
+(** Returns the unsuppressed findings, sorted and de-duplicated, and the
+    stale allowlist entries: those that suppress no finding.  Pure:
     never prints, never exits, never raises on malformed input (parse
     failures come back as [parse-error] findings). *)
+
+val analyze : ?config:config -> file list -> Finding.t list
+(** The findings of {!check}. *)

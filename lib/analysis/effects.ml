@@ -3,16 +3,17 @@
    The determinism contract says simulation code — everything reachable
    from the DES, the Raft protocol, and the parallel campaign runner —
    may not read the wall clock, draw from the global [Random] state,
-   query the ambient system, or perform ambient I/O.  The token lint
-   catches direct textual uses; this pass catches them through any
-   number of local wrappers: it walks the call graph forward from every
-   value defined under the entry directories and reports each reached
-   value that directly references a banned effect, with the full call
-   chain as evidence.
+   query the ambient system, or perform ambient I/O.  The [lib/]-wide
+   banned-identifier rules ({!Lint}) catch direct uses; this pass
+   catches them through any number of local wrappers: it walks the call
+   graph forward from every value defined under the entry directories
+   and reports each reached value that directly references a banned
+   effect, with the full call chain as evidence.
 
-   Files allowlisted for [effect-taint] (e.g. [lib/stats/rng.ml], the
-   sanctioned home of randomness primitives) contribute no direct
-   effects, which is what keeps their callers untainted. *)
+   Findings land on the file holding the direct reference, so
+   allowlisting that file for [effect-taint] (e.g. a sanctioned home of
+   randomness primitives) silences it without hiding its callers' own
+   effects. *)
 
 let rule = "effect-taint"
 
@@ -32,7 +33,7 @@ let benign_sys =
     "ocaml_version";
   ]
 
-let io_prims =
+let print_prims =
   [
     "print_endline";
     "print_string";
@@ -48,6 +49,10 @@ let io_prims =
     "prerr_float";
     "prerr_char";
     "prerr_bytes";
+  ]
+
+let io_prims =
+  [
     "read_line";
     "read_int";
     "read_int_opt";
@@ -62,29 +67,42 @@ let io_prims =
     "stderr";
   ]
 
-(* [Some category] when the identifier is a banned ambient effect. *)
-let rec classify parts =
+let rec unqualified parts =
   match parts with
-  | [ "Unix"; ("gettimeofday" | "time") ] -> Some "wall clock"
-  | "Unix" :: _ :: _ -> Some "ambient Unix"
-  | [ "Sys"; f ] when not (List.mem f benign_sys) -> Some "ambient Sys"
-  | "Random" :: _ :: _ -> Some "global Random"
-  | [ p ] when List.mem p io_prims -> Some "ambient I/O"
+  | "Stdlib" :: (_ :: _ as rest) -> unqualified rest
+  | _ -> parts
+
+let wall_clock parts =
+  match unqualified parts with
+  | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] -> true
+  | _ -> false
+
+let global_random parts =
+  match unqualified parts with "Random" :: _ :: _ -> true | _ -> false
+
+let ambient_print parts =
+  match unqualified parts with
+  | [ p ] -> List.mem p print_prims
   | [ "Printf"; ("printf" | "eprintf") ]
   | [ "Format"; ("printf" | "eprintf" | "std_formatter" | "err_formatter") ]
     ->
-      Some "ambient I/O"
-  | "In_channel" :: _ :: _ | "Out_channel" :: _ :: _ -> Some "ambient I/O"
-  | "Stdlib" :: (_ :: _ as rest) -> classify rest
-  | _ -> None
+      true
+  | _ -> false
 
-let findings ~entry_dirs ~exempt (cg : Callgraph.t) =
-  let contains path dir =
-    let n = String.length path and m = String.length dir in
-    let rec go i = i + m <= n && (String.equal (String.sub path i m) dir || go (i + 1)) in
-    go 0
-  in
-  let is_entry path = List.exists (contains path) entry_dirs in
+let classify parts =
+  if wall_clock parts then Some "wall clock"
+  else if global_random parts then Some "global Random"
+  else if ambient_print parts then Some "ambient I/O"
+  else
+    match unqualified parts with
+    | "Unix" :: _ :: _ -> Some "ambient Unix"
+    | [ "Sys"; f ] when not (List.mem f benign_sys) -> Some "ambient Sys"
+    | [ p ] when List.mem p io_prims -> Some "ambient I/O"
+    | ("In_channel" | "Out_channel") :: _ :: _ -> Some "ambient I/O"
+    | _ -> None
+
+let findings ~entry_dirs (cg : Callgraph.t) =
+  let is_entry path = List.exists (Source.contains path) entry_dirs in
   let roots =
     List.filter (fun (v : Callgraph.value) -> is_entry v.vpath) cg.values
   in
@@ -92,29 +110,27 @@ let findings ~entry_dirs ~exempt (cg : Callgraph.t) =
   let seen = Hashtbl.create 64 in
   List.concat_map
     (fun (v : Callgraph.value) ->
-      if exempt v.vpath then []
-      else
-        List.filter_map
-          (fun (parts, line) ->
-            match classify parts with
-            | None -> None
-            | Some category ->
-                let effect_name = String.concat "." parts in
-                let k = Callgraph.value_key v ^ "!" ^ effect_name in
-                if Hashtbl.mem seen k then None
-                else begin
-                  Hashtbl.replace seen k ();
-                  let chain =
-                    List.map Callgraph.display (Callgraph.chain walk v)
-                    @ [ effect_name ]
-                  in
-                  Some
-                    (Finding.v ~path:v.vpath ~line ~rule
-                       (Printf.sprintf
-                          "%s reaches banned effect `%s` (%s) from a \
-                           DES/raft/parallel entry point: %s"
-                          (Callgraph.display v) effect_name category
-                          (String.concat " -> " chain)))
-                end)
-          v.vrefs)
+      List.filter_map
+        (fun (parts, line) ->
+          match classify parts with
+          | None -> None
+          | Some category ->
+              let effect_name = String.concat "." parts in
+              let k = Callgraph.value_key v ^ "!" ^ effect_name in
+              if Hashtbl.mem seen k then None
+              else begin
+                Hashtbl.replace seen k ();
+                let chain =
+                  List.map Callgraph.display (Callgraph.chain walk v)
+                  @ [ effect_name ]
+                in
+                Some
+                  (Finding.v ~path:v.vpath ~line ~rule
+                     (Printf.sprintf
+                        "%s reaches banned effect `%s` (%s) from a \
+                         DES/raft/parallel entry point: %s"
+                        (Callgraph.display v) effect_name category
+                        (String.concat " -> " chain)))
+              end)
+        v.vrefs)
     walk.order

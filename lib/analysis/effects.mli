@@ -7,13 +7,19 @@
 
 val rule : string
 
-val classify : string list -> string option
-(** [Some category] when the flattened identifier is a banned effect. *)
+val wall_clock : string list -> bool
+(** [Unix.gettimeofday], [Unix.time], [Sys.time]. *)
 
-val findings :
-  entry_dirs:string list ->
-  exempt:(string -> bool) ->
-  Callgraph.t ->
-  Finding.t list
-(** [exempt path] cuts taint at allowlisted files: their direct effect
-    references are neither reported nor propagated. *)
+val global_random : string list -> bool
+(** Anything under the global [Random] module. *)
+
+val ambient_print : string list -> bool
+(** Printing to the process's stdout/stderr: [print_*]/[prerr_*],
+    [Printf.(e)printf], [Format.(e)printf] and the standard formatters. *)
+
+val classify : string list -> string option
+(** [Some category] when the flattened identifier is a banned effect:
+    any of the three predicates above, ambient [Unix]/[Sys], or ambient
+    channel I/O.  A leading [Stdlib.] is ignored throughout. *)
+
+val findings : entry_dirs:string list -> Callgraph.t -> Finding.t list

@@ -1,8 +1,7 @@
 (* A structured finding from the AST analyzer, plus the allowlist that
-   suppresses sanctioned hits.  The allowlist shares its format with
-   [bin/lint.ml]: one [path-suffix:rule-id] per line, [#] comments and
-   blanks ignored; a finding is suppressed when its path ends with the
-   suffix and the rule id matches. *)
+   suppresses sanctioned hits: one [path-suffix:rule-id] per line, [#]
+   comments and blanks ignored; a finding is suppressed when its path
+   ends with the suffix and the rule id matches. *)
 
 type t = {
   path : string;  (** path of the file the finding points at *)
@@ -31,22 +30,20 @@ type allow = (string * string) list
 (* [(path-suffix, rule-id)] pairs *)
 
 let parse_allow source =
-  String.split_on_char '\n' source
-  |> List.map String.trim
-  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  |> List.map (fun l ->
-         match String.rindex_opt l ':' with
-         | Some c ->
-             Ok (String.sub l 0 c, String.sub l (c + 1) (String.length l - c - 1))
-         | None -> Error l)
-  |> List.fold_left
-       (fun acc entry ->
-         match (acc, entry) with
-         | Error e, _ -> Error e
-         | Ok _, Error l -> Error l
-         | Ok entries, Ok e -> Ok (e :: entries))
-       (Ok [])
-  |> Result.map List.rev
+  let lines =
+    String.split_on_char '\n' source
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  match List.find_opt (fun l -> not (String.contains l ':')) lines with
+  | Some malformed -> Error malformed
+  | None ->
+      Ok
+        (List.map
+           (fun l ->
+             let c = String.rindex l ':' in
+             (String.sub l 0 c, String.sub l (c + 1) (String.length l - c - 1)))
+           lines)
 
 let allowed (allow : allow) ~path ~rule =
   List.exists

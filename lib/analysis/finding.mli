@@ -1,7 +1,7 @@
 (** Structured analyzer findings and the [suffix:rule] allowlist.
 
-    The allowlist format is shared with [bin/lint.ml]'s [lint.allow]: one
-    [path-suffix:rule-id] per line, [#] comments and blank lines ignored.
+    The allowlist ([lint.allow]) holds one [path-suffix:rule-id] per
+    line, [#] comments and blank lines ignored.
     A finding is suppressed when its path ends with the suffix and the
     rule id matches exactly. *)
 
@@ -14,7 +14,7 @@ type t = {
 
 val v : path:string -> line:int -> rule:string -> string -> t
 val render : t -> string
-(** ["path:line: [rule] message"], the same shape [bin/lint.ml] prints. *)
+(** ["path:line: [rule] message"]. *)
 
 val compare : t -> t -> int
 (** Path, then line, then rule, then message. *)

@@ -59,3 +59,10 @@ let rec flatten_longident (lid : Longident.t) =
   | Longident.Ldot (p, s) ->
       Option.map (fun ps -> ps @ [ s ]) (flatten_longident p)
   | Longident.Lapply _ -> None
+
+let contains path sub =
+  let n = String.length path and m = String.length sub in
+  let rec go i =
+    i + m <= n && (String.equal (String.sub path i m) sub || go (i + 1))
+  in
+  go 0

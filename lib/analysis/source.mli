@@ -25,3 +25,8 @@ val line_of_loc : Location.t -> int
 val flatten_longident : Longident.t -> string list option
 (** Like [Longident.flatten], but [None] on functor-application paths
     instead of raising. *)
+
+val contains : string -> string -> bool
+(** [contains path sub]: does [sub] occur anywhere in [path]?  Rule
+    scopes and entry directories are matched this way, so [./lib/x.ml]
+    and [lib/x.ml] scope alike. *)

@@ -1,10 +1,11 @@
 (** Bounded sliding window of float samples with running statistics.
 
     This is the data structure behind Dynatune's [RTTs] list: samples are
-    appended, the oldest is evicted once [capacity] is exceeded, and the
-    mean / standard deviation of the current contents are available in
-    O(1).  Running sums are periodically recomputed from the stored samples
-    to bound floating-point drift. *)
+    appended, the oldest is evicted once [capacity] is exceeded.  The
+    mean of the current contents is O(1) from a running sum, which is
+    periodically recomputed from the stored samples to bound
+    floating-point drift; the standard deviation is an O(n) two-pass
+    loop over the window. *)
 
 type t
 
@@ -24,7 +25,10 @@ val mean : t -> float
 (** Mean of the current contents; [0.] when empty. *)
 
 val std : t -> float
-(** Population standard deviation of the current contents. *)
+(** Population standard deviation of the current contents.  O(n): a
+    deliberate two-pass loop (mean, then squared deviations), immune to
+    the cancellation a running E[x²] − E[x]² suffers when the mean dwarfs
+    the spread. *)
 
 val min : t -> float
 (** Smallest current sample; [nan] when empty. O(n). *)

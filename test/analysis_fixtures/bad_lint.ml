@@ -1,5 +1,5 @@
-(* Lint self-test fixture: every forbidden pattern, one per rule.  This
-   file is never compiled — it only feeds [lint --self-test]. *)
+(* Analyzer self-test fixture for the nine local rules (Analysis.Lint):
+   every forbidden pattern, at least one per rule.  Never compiled. *)
 
 (* wall-clock *)
 let now () = Unix.gettimeofday ()
@@ -41,3 +41,12 @@ let show x = Printf.printf "%d\n" x
 let complain msg = Format.eprintf "%s@." msg
 let announce () = print_endline "ready"
 let default_ppf = Format.std_formatter
+
+(* mutable-global: any mutable constructor, not only [ref] *)
+let registry : (int, string) Hashtbl.t = Hashtbl.create 16
+
+(* hot-alloc reaches into submodules, and a lambda nested below the
+   binding's parameter chain is still a closure per call *)
+module Pool = struct
+  let[@hot] release_all release msgs = Array.iter (fun m -> release m) msgs
+end

@@ -1,7 +1,7 @@
 (* stdlib-exit false-positive guard: identifiers merely *named* [exit]
    — record fields, puns, labelled and optional arguments, bindings,
-   annotations — are not process exits.  Every line here fired before
-   the rule learned to read its surroundings. *)
+   annotations — are not process exits.  A bare [exit] fires only when
+   no pattern of its binding binds the name. *)
 
 type outcome = { mutable exit : int; label : string }
 
@@ -21,3 +21,4 @@ let multi_line =
 
 let rec loop n = if n = 0 then mk 0 else loop (n - 1)
 and exit = { exit = 9; label = "shadow" }
+let field_pun { exit; _ } = exit + 1

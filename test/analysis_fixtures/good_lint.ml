@@ -1,12 +1,12 @@
-(* Lint self-test fixture: near-miss patterns that must NOT fire.
-   Mentions of Unix.gettimeofday, Sys.time, Random.int, Obj.magic,
-   Stdlib.compare and Hashtbl.hash inside comments are fine. *)
+(* Analyzer self-test fixture: near-misses of the nine local rules
+   (Analysis.Lint) that must NOT fire.  Mentions of Unix.gettimeofday,
+   Sys.time, Random.int, Obj.magic, Stdlib.compare and Hashtbl.hash
+   inside comments are fine. *)
 
 let description = "Random.self_init, Unix.time and exit are banned in lib/"
 let exit_code_of_result = function Ok _ -> 0 | Error _ -> 1
 let exited = "the message said exit 1, but strings are not code"
 let compare_ints (a : int) b = Int.compare a b
-let wait_times clock = Unix.times clock (* not Unix.time *)
 let quote = '"'
 let still_scanned_after_char_literal x = x
 
@@ -36,6 +36,15 @@ let[@hot] sum_ready arr =
 
 (* ...the postfix [@@hot] spelling also marks the binding... *)
 let add_one x = x + 1 [@@hot]
+
+(* ...and a [function] ending an [and] binding's parameter chain is the
+   function being defined, not a closure allocated per call... *)
+let[@hot] rec sum_all acc xs = sum_rest acc xs
+
+and sum_rest acc = function
+  | [] -> acc
+  | x :: rest -> sum_all (acc + x) rest
+  [@@hot]
 
 (* ...and an unmarked neighbour may use the combinators freely. *)
 let labels xs = List.map string_of_int xs

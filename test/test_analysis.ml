@@ -1,7 +1,8 @@
 (* Unit tests for the AST determinism analyzer (lib/analysis): call
    graph construction and resolution, interprocedural effect taint,
    cross-domain shared-state detection, protocol-match exhaustiveness,
-   parse-error surfacing and the allowlist. *)
+   the local banned-construct rules, parse-error surfacing and the
+   allowlist. *)
 
 module A = Analysis
 module F = Analysis.Finding
@@ -180,6 +181,98 @@ let test_protocol_wildcard_negative () =
   Alcotest.(check int) "no findings" 0
     (List.length (with_rule "protocol-wildcard" fs))
 
+(* {2 Local rules} *)
+
+(* One source per rule: (rule, path, content, line of the hit). *)
+let lint_cases =
+  [
+    ("wall-clock", "lib/stats/w.ml", "let pad = 0\nlet now () = Sys.time ()", 2);
+    ("global-rng", "lib/stats/r.ml", "let roll () = Random.int 6", 1);
+    ("obj-magic", "lib/kvsm/o.ml", "let cast x =\n  Obj.magic x", 2);
+    ("poly-compare", "lib/des/p.ml", "let h = 0\nlet b x = Hashtbl.hash x", 2);
+    ( "direct-print",
+      "lib/kvsm/d.ml",
+      "let show x =\n  let s = string_of_int x in\n  print_endline s",
+      3 );
+    ("stdlib-exit", "lib/core/e.ml", "let bail () =\n  exit 1", 2);
+    ("raw-fabric-send", "lib/raft/s.ml", "let ship f m = Fabric.send f m", 1);
+    ("mutable-global", "lib/raft/g.ml", "let x = 1\nlet counter = ref x", 2);
+    ("hot-alloc", "lib/raft/h.ml", "let[@hot] f xs =\n  List.map succ xs", 2);
+  ]
+
+let test_lint_rule (rule, path, content, line) () =
+  match with_rule rule (analyze [ file path content ]) with
+  | [ f ] -> Alcotest.(check int) (rule ^ " line") line f.F.line
+  | fs -> Alcotest.failf "%s: expected one finding, got %d" rule (List.length fs)
+
+(* Every local rule is scoped to lib/ (the binaries may time themselves
+   and exit); direct-print spares the report renderer, raw-fabric-send
+   the replication seam, and mutable-global applies to lib/raft only. *)
+let test_lint_scopes () =
+  let local_rules = List.map fst A.Lint.rules in
+  let fs =
+    analyze
+      [
+        file "bin/selfcheck.ml"
+          "let time f = let t0 = Unix.gettimeofday () in f (); exit 0; t0";
+        file "lib/scenarios/report.ml" "let show s = print_endline s";
+        file "lib/raft/replication.ml" "let transmit f m = Fabric.send f m";
+        file "lib/kvsm/c.ml" "let counter = ref 0";
+      ]
+  in
+  Alcotest.(check (list string)) "no local-rule findings" []
+    (List.filter_map
+       (fun (f : F.t) ->
+         if List.mem f.rule local_rules then Some (F.render f) else None)
+       fs)
+
+let test_hot_and_function_clean () =
+  (* The shape of [Node.dispatch]/[interpret_all]: the trailing
+     [function] is the parameter chain, not a closure. *)
+  let fs =
+    analyze
+      [
+        file "lib/raft/n.ml"
+          "let[@hot] rec dispatch t e = all t e\n\
+           and all t = function\n\
+          \  | [] -> ()\n\
+          \  | x :: r -> ignore (t + x); all t r\n\
+          \  [@@hot]";
+      ]
+  in
+  Alcotest.(check int) "clean" 0 (List.length (with_rule "hot-alloc" fs))
+
+let test_hot_nested_lambda () =
+  let fs =
+    analyze
+      [
+        file "lib/raft/p.ml"
+          "module Pool = struct\n\
+          \  let[@hot] drain q =\n\
+          \    Queue.iter (fun m -> ignore m) q\n\
+           end";
+      ]
+  in
+  Alcotest.(check (list int)) "lambda inside a submodule's hot binding" [ 3 ]
+    (List.map (fun (f : F.t) -> f.line) (with_rule "hot-alloc" fs))
+
+let test_exit_binding_names () =
+  let fs =
+    analyze
+      [
+        file "lib/raft/x.ml"
+          "type o = { exit : int; label : int }\n\
+           let param exit = exit + 1\n\
+           let pun exit = { exit; label = 0 }\n\
+           let field_pun { exit; _ } = exit\n\
+           let local () = let exit = 3 in exit\n\
+           let bare () = exit 1\n\
+           let qualified exit = Stdlib.exit exit";
+      ]
+  in
+  Alcotest.(check (list int)) "only the real exits" [ 6; 7 ]
+    (List.map (fun (f : F.t) -> f.line) (with_rule "stdlib-exit" fs))
+
 (* {2 Parse errors, rendering, allowlist parsing} *)
 
 let test_parse_error () =
@@ -203,6 +296,22 @@ let test_parse_allow () =
   | Ok _ -> Alcotest.fail "malformed entry accepted"
   | Error _ -> ()
 
+let test_stale_allow () =
+  let config =
+    A.Driver.default_config
+      ~allow:
+        [ ("lib/stats/w.ml", "wall-clock"); ("lib/stats/rng.ml", "global-rng") ]
+      ()
+  in
+  let findings, stale =
+    A.Driver.check ~config
+      [ file "lib/stats/w.ml" "let now () = Unix.gettimeofday ()" ]
+  in
+  Alcotest.(check int) "used entry suppresses" 0 (List.length findings);
+  Alcotest.(check (list (pair string string))) "unused entry is stale"
+    [ ("lib/stats/rng.ml", "global-rng") ]
+    stale
+
 let tests =
   [
     Alcotest.test_case "callgraph-build" `Quick test_callgraph_build;
@@ -222,4 +331,18 @@ let tests =
     Alcotest.test_case "parse-error" `Quick test_parse_error;
     Alcotest.test_case "finding-render" `Quick test_render;
     Alcotest.test_case "parse-allow" `Quick test_parse_allow;
+    Alcotest.test_case "stale-allow" `Quick test_stale_allow;
   ]
+  @ List.map
+      (fun ((rule, _, _, _) as case) ->
+        Alcotest.test_case ("lint: " ^ rule) `Quick (test_lint_rule case))
+      lint_cases
+  @ [
+      Alcotest.test_case "lint: lib/ scopes" `Quick test_lint_scopes;
+      Alcotest.test_case "lint: hot and-function clean" `Quick
+        test_hot_and_function_clean;
+      Alcotest.test_case "lint: hot nested lambda" `Quick
+        test_hot_nested_lambda;
+      Alcotest.test_case "lint: exit binding names" `Quick
+        test_exit_binding_names;
+    ]
