@@ -412,6 +412,17 @@ let test_explain_live_chains_complete () =
         e.justified)
     elections
 
+(* Every live record of the one-kill run, rendered line by line and
+   digested: any change to what is recorded, in which order, with which
+   stamps or in which words moves the pin. *)
+let test_explain_live_pinned () =
+  let lines =
+    List.map Forensics.render_record (Scenarios.Explain.run ~failures:1 ())
+  in
+  Alcotest.(check int) "live record count" 853 (List.length lines);
+  Alcotest.(check int64) "rendered live chain digest" 0xfed035142e983ce6L
+    (Check.Digest.of_string (String.concat "\n" lines))
+
 (* {1 Flight recorder} *)
 
 (* Mirrors test_check's broken-toy pattern: a staged violation must
@@ -498,6 +509,8 @@ let tests =
       test_explain_print_golden;
     Alcotest.test_case "explain: live chains complete" `Quick
       test_explain_live_chains_complete;
+    Alcotest.test_case "explain: live chain pinned" `Quick
+      test_explain_live_pinned;
     Alcotest.test_case "check: violation carries flight dump" `Quick
       test_violation_carries_flight_dump;
     Alcotest.test_case "check: default flight dump empty" `Quick
