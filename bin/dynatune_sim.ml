@@ -373,19 +373,18 @@ let explain_cmd =
     Arg.(
       value & flag
       & info [ "raw" ]
-          ~doc:"Also dump every retained forensics record, unanalyzed.")
+          ~doc:"Also dump every causally stamped trace entry, unanalyzed.")
   in
   let run config seed failures raw =
-    let records = Scenarios.Explain.run ~seed ~failures ~config () in
-    Scenarios.Explain.print ppf (Scenarios.Explain.analyze records);
+    let entries = Scenarios.Explain.run ~seed ~failures ~config () in
+    Scenarios.Explain.print ppf (Scenarios.Explain.analyze entries);
     if raw then begin
+      (* The header wording is part of the pinned dump format. *)
       Format.fprintf ppf "@.forensics ring (%d records):@."
-        (List.length records);
+        (List.length entries);
       List.iter
-        (fun r ->
-          Format.fprintf ppf "  %s@."
-            (Telemetry.Forensics.render_record r))
-        records
+        (fun e -> Format.fprintf ppf "  %s@." (Raft.Probe.render_entry e))
+        entries
     end
   in
   let seed =

@@ -130,7 +130,8 @@ type tracked = {
       (* (term, last_index, term of last entry) when last seen leading *)
 }
 
-let ring_size = 50
+(* Trace entries a violation report carries as context. *)
+let recent_window = 50
 
 type t = {
   mode : mode;
@@ -140,9 +141,8 @@ type t = {
          Config entries replay on top of it in the deep check *)
   committed : (Types.index, Types.term * Log.command) Hashtbl.t;
   leaders_by_term : (Types.term, Node_id.t) Hashtbl.t;
-  ring : string array;
-  mutable ring_len : int;
-  mutable ring_next : int;
+  mutable trace : Raft.Probe.t Des.Mtrace.t option;
+      (* the observed cluster trace: violations render its tail *)
   mutable events : int;
   mutable checks : int;
   mutable flight_fn : unit -> string list;
@@ -173,9 +173,7 @@ let create ~mode ~nodes () =
       (match nodes with [] -> [] | v :: _ -> v.voters ());
     committed = Hashtbl.create 256;
     leaders_by_term = Hashtbl.create 64;
-    ring = Array.make ring_size "";
-    ring_len = 0;
-    ring_next = 0;
+    trace = None;
     events = 0;
     checks = 0;
     flight_fn = (fun () -> []);
@@ -189,14 +187,15 @@ let set_flight_recorder t fn = t.flight_fn <- fn
 let events_seen t = t.events
 let checks_run t = t.checks
 
-let ring_push t line =
-  t.ring.(t.ring_next) <- line;
-  t.ring_next <- (t.ring_next + 1) mod ring_size;
-  if t.ring_len < ring_size then t.ring_len <- t.ring_len + 1
-
-let ring_contents t =
-  List.init t.ring_len (fun i ->
-      t.ring.((t.ring_next - t.ring_len + i + ring_size) mod ring_size))
+(* Formatted only here, when a violation is actually raised. *)
+let recent t =
+  match t.trace with
+  | None -> []
+  | Some trace ->
+      List.map
+        (fun (e : Raft.Probe.t Des.Mtrace.entry) ->
+          Format.asprintf "%a %a" Des.Time.pp e.at Raft.Probe.pp e.ev)
+        (Des.Mtrace.tail trace recent_window)
 
 let fail t ~invariant ?node ~term fmt =
   Format.kasprintf
@@ -208,7 +207,7 @@ let fail t ~invariant ?node ~term fmt =
              node;
              term;
              detail;
-             recent = ring_contents t;
+             recent = recent t;
              flight = t.flight_fn ();
            }))
     fmt
@@ -217,9 +216,8 @@ let fail t ~invariant ?node ~term fmt =
 
 (* The Role_change probe stream is complete even when state checks are
    sampled, so leadership history is checked exactly. *)
-let on_probe t time probe =
-  ring_push t (Format.asprintf "%a %a" Des.Time.pp time Raft.Probe.pp probe);
-  match probe with
+let on_probe t (e : Raft.Probe.t Des.Mtrace.entry) =
+  match e.ev with
   | Raft.Probe.Role_change { id; role = Types.Leader; term } -> (
       match Hashtbl.find_opt t.leaders_by_term term with
       | Some other when not (Node_id.equal other id) ->
@@ -232,10 +230,12 @@ let on_probe t time probe =
   | Raft.Probe.Tuner_decision _ | Raft.Probe.Election_started _
   | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
   | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-  | Raft.Probe.Transfer_aborted _ ->
+  | Raft.Probe.Transfer_aborted _ | Raft.Probe.Vote_received _ ->
       ()
 
-let observe_trace t trace = Des.Mtrace.subscribe trace (on_probe t)
+let observe_trace t trace =
+  t.trace <- Some trace;
+  Des.Mtrace.subscribe trace (on_probe t)
 
 (* {2 Commit registry: State Machine Safety and Leader Completeness} *)
 

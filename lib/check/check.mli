@@ -97,11 +97,13 @@ type violation = {
   term : Raft.Types.term;  (** term in which the violation was observed *)
   detail : string;
   recent : string list;
-      (** the last [<= 50] trace events (oldest first) before the
-          violation, rendered — the context needed to diagnose it *)
+      (** the last [<= 50] entries (oldest first) the observed trace
+          ({!observe_trace}) retains at the violation, rendered
+          ["<time> <probe>"] only then — the context needed to diagnose
+          it; empty when no trace is observed *)
   flight : string list;
       (** the flight-recorder dump ({!set_flight_recorder}) captured at
-          the instant of the violation: rendered forensics records and
+          the instant of the violation: causally rendered trace tail and
           recorder window, empty when no recorder is installed *)
 }
 
@@ -125,15 +127,15 @@ val add_view : t -> node_view -> unit
 
 val set_flight_recorder : t -> (unit -> string list) -> unit
 (** Install the flight-recorder dump: called (lazily, only when a
-    violation is actually raised) to capture the forensics ring tail and
+    violation is actually raised) to capture the causal trace tail and
     the recorder window into {!violation.flight}.  Defaults to
     [fun () -> []]. *)
 
 val observe_trace : t -> Raft.Probe.t Des.Mtrace.t -> unit
-(** Subscribe to a cluster trace: every probe is recorded into the
-    ring buffer reported by violations, and role-change probes feed the
+(** Subscribe to a cluster trace: role-change probes feed the
     historical election-safety registry (which sees {e every} leadership
-    transition even in [Sample] mode). *)
+    transition even in [Sample] mode), and violations report the trace's
+    retained tail as {!violation.recent}. *)
 
 val step : t -> unit
 (** The per-event hook (install via {!Des.Engine.set_post_hook}):

@@ -21,7 +21,6 @@ type t = {
   digest : Check.Digest.t;
   telemetry : Telemetry.Metrics.t;
   forensics : Telemetry.Forensics.t;
-  recorder : Telemetry.Recorder.t;
   pool : Raft.Rpc.Pool.t;
       (* one message free-list for the whole group, so a record released
          at its receiver refills the sender's next allocation *)
@@ -88,9 +87,9 @@ let attach_probe_counters ~scope telemetry trace =
           Node_id.Table.add tbl id h;
           h
     in
-    Des.Mtrace.subscribe trace (fun _time probe ->
-        let h = handles (Raft.Probe.node probe) in
-        match probe with
+    Des.Mtrace.subscribe trace (fun (e : Raft.Probe.t Des.Mtrace.entry) ->
+        let h = handles (Raft.Probe.node e.ev) in
+        match e.ev with
         | Raft.Probe.Timeout_expired _ ->
             Telemetry.Metrics.Counter.incr h.c_timeouts
         | Raft.Probe.Election_started _ ->
@@ -106,7 +105,8 @@ let attach_probe_counters ~scope telemetry trace =
             Telemetry.Metrics.Counter.incr c_leader_changes
         | Raft.Probe.Role_change _ | Raft.Probe.Node_paused _
         | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
             ())
   end
 
@@ -187,11 +187,17 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
            ~telemetry ~forensics ~config ~joining:false ~pool ~id ~peers))
     ids;
   (* The digest accumulates online through a subscription, so it survives
-     the trace clears the measurement loop performs between failures. *)
+     the trace clears the measurement loop performs between failures.
+     Vote receipts exist only under causal tracking; leaving them out
+     keeps the digest a fingerprint of the simulation alone. *)
   let digest = Check.Digest.create () in
-  Des.Mtrace.subscribe trace (fun time probe ->
-      Check.Digest.feed_int digest time;
-      Check.Digest.feed_string digest (Format.asprintf "%a" Raft.Probe.pp probe));
+  Des.Mtrace.subscribe trace (fun (e : Raft.Probe.t Des.Mtrace.entry) ->
+      match e.ev with
+      | Raft.Probe.Vote_received _ -> ()
+      | probe ->
+          Check.Digest.feed_int digest e.at;
+          Check.Digest.feed_string digest
+            (Format.asprintf "%a" Raft.Probe.pp probe));
   let checker =
     match check with
     | Check.Off -> None
@@ -204,14 +210,14 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
         let c = Check.create ~mode ~nodes:views () in
         Check.observe_trace c trace;
         (* The flight recorder: when a violation fires, its report carries
-           the tail of the forensics ring and the recorder's last ticks —
-           captured lazily, only on an actual failure. *)
+           the causally rendered tail of the trace and the recorder's
+           last ticks — captured lazily, only on an actual failure. *)
         if
           Telemetry.Forensics.enabled forensics
           || Telemetry.Recorder.enabled recorder
         then
           Check.set_flight_recorder c (fun () ->
-              Telemetry.Forensics.tail forensics 32
+              List.map Raft.Probe.render_entry (Des.Mtrace.tail trace 32)
               @ Telemetry.Recorder.window recorder 8);
         (* The engine supports a single post hook.  A shared-infra host
            (multiraft) owns it and steps every group's checker from one
@@ -236,7 +242,6 @@ let create ?seed ?costs ?(cores = 4.) ?conditions ?flush_delay
     digest;
     telemetry;
     forensics;
-    recorder;
     costs;
     cores;
     flush_delay;
@@ -253,8 +258,6 @@ let fabric t = t.fabric
 let trace t = t.trace
 let checker t = t.checker
 let telemetry t = t.telemetry
-let forensics t = t.forensics
-let recorder t = t.recorder
 
 (* Fold the pull-style sources (engine, fabric, links) into the registry.
    Exposed standalone so a multiraft host sharing one engine/fabric

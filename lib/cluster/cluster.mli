@@ -54,12 +54,13 @@ val create :
     statistics before taking the snapshot.
 
     [forensics] (default {!Telemetry.Forensics.noop}) is handed to every
-    node: causally stamped transition records accumulate in the shared
-    ring (see {!Raft.Node.create}).  [recorder] (default
+    node: with it enabled, the cluster trace carries causal stamps and
+    vote receipts (see {!Raft.Node.create}).  [recorder] (default
     {!Telemetry.Recorder.noop}) samples the telemetry registry on the
     DES clock.  When either is enabled and checking is on, invariant
-    violations carry a flight-recorder dump (ring tail + last recorder
-    ticks) in {!Check.violation.flight}.
+    violations carry a flight-recorder dump (the last 32 trace entries,
+    causally rendered by {!Raft.Probe.render_entry}, and the last
+    recorder ticks) in {!Check.violation.flight}.
 
     [scope] (default [""]) prefixes every metrics scope this cluster
     registers (["raft"] → ["g3/raft"]), so N clusters sharing one
@@ -78,14 +79,6 @@ val checker : t -> Check.t option
 val telemetry : t -> Telemetry.Metrics.t
 (** The registry passed at creation ({!Telemetry.Metrics.noop} when none
     was). *)
-
-val forensics : t -> Telemetry.Forensics.t
-(** The forensics ring passed at creation ({!Telemetry.Forensics.noop}
-    when none was). *)
-
-val recorder : t -> Telemetry.Recorder.t
-(** The time-series recorder passed at creation
-    ({!Telemetry.Recorder.noop} when none was). *)
 
 val collect_metrics : t -> unit
 (** Fold the cumulative engine, fabric and per-link statistics into the

@@ -46,13 +46,14 @@ let analyse t ~failed ~failed_at ~new_leader_at ~new_leader =
           | Raft.Probe.Tuner_decision _ | Raft.Probe.Election_started _
           | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
           | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-          | Raft.Probe.Transfer_aborted _ ->
+          | Raft.Probe.Transfer_aborted _ | Raft.Probe.Vote_received _ ->
               false)
     with
-    | Some (time, _) -> time
+    | Some e -> e.Des.Mtrace.at
     | None -> new_leader_at
   in
-  Des.Mtrace.iter (Cluster.trace t) ~f:(fun time probe ->
+  Des.Mtrace.iter (Cluster.trace t)
+    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
       if time > failed_at && time <= new_leader_at then
         match probe with
         | Raft.Probe.Timeout_expired { id; randomized; _ }
@@ -65,7 +66,8 @@ let analyse t ~failed ~failed_at ~new_leader_at ~new_leader =
         | Raft.Probe.Pre_vote_aborted _ | Raft.Probe.Tuner_reset _
         | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
         | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
             ());
   match List.rev !timeouts with
   | [] -> Error "no follower detected the failure"

@@ -55,23 +55,6 @@ let watch t ~every ~duration ~probes =
   Des.Engine.run_until engine stop_at;
   List.map (fun (p, ts) -> (p.name, ts)) series
 
-let role_changes t ~until =
-  let events = ref [] in
-  Des.Mtrace.iter (Cluster.trace t) ~f:(fun time probe ->
-      if time <= until then
-        match probe with
-        | Raft.Probe.Role_change { id; role; _ } ->
-            events := (time, id, `Role role) :: !events
-        | Raft.Probe.Node_paused { id } -> events := (time, id, `Paused) :: !events
-        | Raft.Probe.Node_resumed { id } ->
-            events := (time, id, `Resumed) :: !events
-        | Raft.Probe.Timeout_expired _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Election_started _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
-            ());
-  List.rev !events
-
 let leaderless_intervals t ~from ~until =
   let roles : Raft.Types.role Node_id.Table.t =
     Node_id.Table.create (Cluster.size t)
@@ -91,22 +74,34 @@ let leaderless_intervals t ~from ~until =
      takes it out of service even though its role never changed). *)
   let intervals = ref [] in
   let gap_start = ref (Some Des.Time.zero) in
-  List.iter
-    (fun (time, id, event) ->
-      let before = count_leaders () in
-      (match event with
-      | `Role role -> Node_id.Table.replace roles id role
-      | `Paused -> Node_id.Table.replace paused id ()
-      | `Resumed -> Node_id.Table.remove paused id);
-      let after = count_leaders () in
-      if before = 0 && after > 0 then begin
-        (match !gap_start with
-        | Some s when time > s -> intervals := (s, time) :: !intervals
-        | Some _ | None -> ());
-        gap_start := None
-      end
-      else if before > 0 && after = 0 then gap_start := Some time)
-    (role_changes t ~until);
+  let transition time change =
+    let before = count_leaders () in
+    change ();
+    let after = count_leaders () in
+    if before = 0 && after > 0 then begin
+      (match !gap_start with
+      | Some s when time > s -> intervals := (s, time) :: !intervals
+      | Some _ | None -> ());
+      gap_start := None
+    end
+    else if before > 0 && after = 0 then gap_start := Some time
+  in
+  Des.Mtrace.iter (Cluster.trace t)
+    ~f:(fun { Des.Mtrace.at = time; ev; _ } ->
+      if time <= until then
+        match ev with
+        | Raft.Probe.Role_change { id; role; _ } ->
+            transition time (fun () -> Node_id.Table.replace roles id role)
+        | Raft.Probe.Node_paused { id; _ } ->
+            transition time (fun () -> Node_id.Table.replace paused id ())
+        | Raft.Probe.Node_resumed { id; _ } ->
+            transition time (fun () -> Node_id.Table.remove paused id)
+        | Raft.Probe.Timeout_expired _ | Raft.Probe.Pre_vote_aborted _
+        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
+        | Raft.Probe.Election_started _ | Raft.Probe.Config_change _
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
+            ());
   (match !gap_start with
   | Some s when until > s -> intervals := (s, until) :: !intervals
   | Some _ | None -> ());

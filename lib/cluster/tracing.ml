@@ -66,7 +66,7 @@ let open_span t ~at id name ~args =
   Node_id.Table.replace t.open_spans id name;
   Chrome.duration_begin t.sink ~name ~pid:t.pid ~tid:(tid id) ~at ~args ()
 
-let on_probe t at probe =
+let on_probe t { Des.Mtrace.at; ev = probe; _ } =
   if not t.finished then begin
     let id = Raft.Probe.node probe in
     ensure_named t id;
@@ -119,6 +119,7 @@ let on_probe t at probe =
     | Raft.Probe.Transfer_aborted { term; _ } ->
         close_reconfig_span t t.xfer_spans ~at id "transfer";
         instant "transfer_aborted" [ ("term", Chrome.Int term) ]
+    | Raft.Probe.Vote_received _ -> ()
     | Raft.Probe.Config_change { index; change; committed; _ } -> (
         instant "config_change"
           [
@@ -157,8 +158,7 @@ let attach ?(pid = 1) ?name cluster sink =
   | Some n -> Chrome.process_name sink ~pid n
   | None -> ());
   List.iter (ensure_named t) (Cluster.node_ids cluster);
-  Des.Mtrace.subscribe (Cluster.trace cluster) (fun at probe ->
-      on_probe t at probe);
+  Des.Mtrace.subscribe (Cluster.trace cluster) (on_probe t);
   t
 
 let finish t =

@@ -1,10 +1,12 @@
+type 'a entry = { at : Time.t; cause : int; parent : int; ev : 'a }
+
 type 'a t = {
   engine : Engine.t;
   capacity : int; (* max_int when unbounded *)
-  mutable events : (Time.t * 'a) list; (* newest first *)
+  mutable events : 'a entry list; (* newest first *)
   mutable len : int; (* physical length of [events] *)
   mutable total : int; (* lifetime emits since creation / last clear *)
-  mutable observers : (Time.t -> 'a -> unit) list;
+  mutable observers : ('a entry -> unit) list;
 }
 
 let create ?capacity engine =
@@ -16,8 +18,6 @@ let create ?capacity engine =
         c
   in
   { engine; capacity; events = []; len = 0; total = 0; observers = [] }
-
-let engine t = t.engine
 
 (* First [n] elements of a newest-first list, reversed — i.e. the newest
    [n] events in oldest-first order.  Tail-recursive: traces from long
@@ -34,29 +34,25 @@ let newest_rev n events =
    immediately (readers never see them) but physically trimmed only when
    the backlog doubles, so [emit] stays O(1) amortized instead of O(cap)
    per call. *)
-let emit t ev =
-  let now = Engine.now t.engine in
-  t.events <- (now, ev) :: t.events;
+let emit t ~cause ~parent ev =
+  let e = { at = Engine.now t.engine; cause; parent; ev } in
+  t.events <- e :: t.events;
   t.len <- t.len + 1;
   t.total <- t.total + 1;
   if t.len > 2 * t.capacity && t.capacity < max_int then begin
     t.events <- List.rev (newest_rev t.capacity t.events);
     t.len <- t.capacity
   end;
-  List.iter (fun f -> f now ev) t.observers
+  List.iter (fun f -> f e) t.observers
 
 let length t = if t.len < t.capacity then t.len else t.capacity
 let dropped t = t.total - length t
 let events t = newest_rev (length t) t.events
-let iter t ~f = List.iter (fun (time, ev) -> f time ev) (events t)
+let tail t n = newest_rev (Stdlib.min n (length t)) t.events
+let iter t ~f = List.iter f (events t)
 
 let find_first t ~after ~f =
-  let rec scan = function
-    | [] -> None
-    | (time, ev) :: rest ->
-        if time > after && f ev then Some (time, ev) else scan rest
-  in
-  scan (events t)
+  List.find_opt (fun e -> e.at > after && f e.ev) (events t)
 
 let clear t =
   t.events <- [];

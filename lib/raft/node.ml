@@ -142,51 +142,20 @@ and interpret t = function
           Hashtbl.remove t.waiters (client_id, seq);
           k ~committed:false
       | None -> ())
-  | Server.Probe p ->
-      if t.fo_on then forensics_probe t p;
-      Des.Mtrace.emit t.trace p
+  | Server.Probe p -> emit t p
 
-(* Mirror the probe into the forensics ring, stamped with the causal
-   context of the event being processed.  Terms come from the probe
-   where it carries one: by the time actions are interpreted the server
-   may already have moved on (a timeout increments the term before its
-   probe is seen here). *)
-and forensics_probe t p =
-  let at = Des.Engine.now t.engine in
-  let node = Node_id.to_int (Server.id t.server) in
-  let record ?(parent = Telemetry.Cause.none) ~term ev =
-    Telemetry.Forensics.record t.fo ~at ~node ~term ~cause:t.cur_cause ~parent
-      ev
+(* Every transition enters the cluster trace here, stamped with the
+   causal context of the event being processed (both stamps stay 0 while
+   causal tracking is off).  A timeout, and the campaign it starts,
+   descend from the arming of the election timer that fired. *)
+and emit t p =
+  let parent =
+    match p with
+    | Probe.Timeout_expired _ | Probe.Election_started _ ->
+        t.election_arm_cause
+    | _ -> 0
   in
-  match p with
-  | Probe.Timeout_expired { term; randomized; _ } ->
-      let et, h, k = Server.tuning_snapshot t.server in
-      record ~parent:t.election_arm_cause ~term
-        (Telemetry.Forensics.Timeout { randomized; et; h; k })
-  | Probe.Election_started { term; _ } ->
-      record ~parent:t.election_arm_cause ~term
-        (Telemetry.Forensics.Campaign { pre = false })
-  | Probe.Role_change { role; term; _ } ->
-      record ~term (Telemetry.Forensics.Role { role = Types.role_name role })
-  | Probe.Pre_vote_aborted { term; _ } ->
-      record ~term Telemetry.Forensics.Prevote_abort
-  | Probe.Tuner_reset _ ->
-      record ~term:(Server.term t.server) Telemetry.Forensics.Tuner_reset
-  | Probe.Tuner_decision { rtt_ms; loss; k; et; h; reason; _ } ->
-      record ~term:(Server.term t.server)
-        (Telemetry.Forensics.Tuner
-           { rtt_ms; loss; et; h; k; reason = Probe.reason_name reason })
-  | Probe.Config_change { term; change; committed; _ } ->
-      record ~term
-        (Telemetry.Forensics.Config
-           { change = Format.asprintf "%a" Log.pp_change change; committed })
-  | Probe.Transfer_started { term; target; _ } ->
-      record ~term
-        (Telemetry.Forensics.Transfer { target = Node_id.to_int target })
-  | Probe.Node_paused _ | Probe.Node_resumed _ | Probe.Transfer_aborted _ ->
-      (* pause/resume are recorded at the fault-injection site, where the
-         fault cause is minted; transfer expiry adds nothing causal *)
-      ()
+  Des.Mtrace.emit t.trace ~cause:t.cur_cause ~parent p
 
 and hb_timer t peer =
   let i = Node_id.to_int peer in
@@ -383,12 +352,15 @@ let create ~fabric ~trace ?cpu ?(costs = Cost_model.zero) ?apply ?snapshot_of
             t.cur_cause <- Netsim.Fabric.delivery_cause t.fabric;
             match msg with
             | Rpc.Vote_response { granted; pre_vote; _ } ->
-                Telemetry.Forensics.record t.fo
-                  ~at:(Des.Engine.now t.engine)
-                  ~node:(Node_id.to_int node_id) ~term:(Server.term t.server)
-                  ~cause:t.cur_cause ~parent:Telemetry.Cause.none
-                  (Telemetry.Forensics.Vote
-                     { from = Node_id.to_int src; granted; pre = pre_vote })
+                emit t
+                  (Probe.Vote_received
+                     {
+                       id = node_id;
+                       term = Server.term t.server;
+                       from = src;
+                       granted;
+                       pre = pre_vote;
+                     })
             | Rpc.Heartbeat _ | Rpc.Heartbeat_response _ | Rpc.Vote_request _
             | Rpc.Append_request _ | Rpc.Append_response _
             | Rpc.Install_snapshot _ | Rpc.Install_snapshot_response _
@@ -413,16 +385,13 @@ let start t =
 
 (* Fault-injection transitions root fresh causal chains: whatever the
    cluster does next — elections after a leader pause, catch-up after a
-   resume — traces back to this record. *)
-let forensics_fault t ev =
-  if t.fo_on then begin
-    new_cause t Telemetry.Cause.Fault;
-    Telemetry.Forensics.record t.fo
-      ~at:(Des.Engine.now t.engine)
-      ~node:(Node_id.to_int (id t))
-      ~term:(Server.term t.server)
-      ~cause:t.cur_cause ~parent:Telemetry.Cause.none ev
-  end
+   resume — traces back to this entry. *)
+let emit_fault t ~paused =
+  if t.fo_on then new_cause t Telemetry.Cause.Fault;
+  let id = id t and term = Server.term t.server in
+  emit t
+    (if paused then Probe.Node_paused { id; term }
+     else Probe.Node_resumed { id; term })
 
 let submit t ~payload ~client_id ~seq ~on_result () =
   if t.paused || not (Types.is_leader (Server.role t.server)) then
@@ -468,14 +437,12 @@ let reconfigure t change =
 let pause t =
   t.paused <- true;
   Netsim.Fabric.pause t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Paused;
-  Des.Mtrace.emit t.trace (Probe.Node_paused { id = id t })
+  emit_fault t ~paused:true
 
 let resume t =
   t.paused <- false;
   Netsim.Fabric.resume t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Resumed;
-  Des.Mtrace.emit t.trace (Probe.Node_resumed { id = id t });
+  emit_fault t ~paused:false;
   dispatch t Server.Restarted
 
 let disarm_all t =
@@ -495,8 +462,7 @@ let crash t =
   let pending = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.waiters [] in
   Hashtbl.reset t.waiters;
   List.iter (fun (_, k) -> k ~committed:false) pending;
-  forensics_fault t Telemetry.Forensics.Paused;
-  Des.Mtrace.emit t.trace (Probe.Node_paused { id = id t })
+  emit_fault t ~paused:true
 
 let restart t =
   let restore = Server.persisted t.server in
@@ -519,6 +485,5 @@ let restart t =
   | None -> ());
   t.paused <- false;
   Netsim.Fabric.resume t.fabric (id t);
-  forensics_fault t Telemetry.Forensics.Resumed;
-  Des.Mtrace.emit t.trace (Probe.Node_resumed { id = id t });
+  emit_fault t ~paused:false;
   interpret_all t (Server.start t.server)

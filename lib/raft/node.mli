@@ -42,13 +42,15 @@ val create :
     on [Server.set_instrument] (and keeps it on across {!restart}), so
     tuner decisions reach the trace.
 
-    [forensics] (default {!Telemetry.Forensics.noop}) receives causally
-    stamped transition records: every timer fire, client request and
-    injected fault mints a fresh {!Telemetry.Cause.t}, sends piggyback
-    the current cause across the fabric, and probes are mirrored into
-    the ring with it.  When enabled the node turns on the fabric's
-    cause tracking; when disabled every added branch is on a cached
-    [bool] and the node allocates exactly what it did before.
+    [forensics] (default {!Telemetry.Forensics.noop}) switches causal
+    tracking on: every timer fire, client request and injected fault
+    mints a fresh {!Telemetry.Cause.t}, sends piggyback the current
+    cause across the fabric, every probe enters [trace] stamped with it
+    ({!Des.Mtrace.entry}), and vote responses are traced at delivery
+    ({!Probe.Vote_received}).  When enabled the node turns on the
+    fabric's cause tracking; when disabled every added branch is on a
+    cached [bool], stamps are [0] and the node allocates exactly what it
+    did before.
 
     [pool] is the message free-list handed to {!Server.create} (and kept
     across {!restart}); a cluster passes one shared pool to all its

@@ -432,21 +432,23 @@ let piggyback_h t =
         t.pb_h <- boxed;
         boxed
 
-(* The tuning parameters in force at this instant, for forensics
-   records: (Et, h, K).  h falls back to the configured interval while
-   warming (or in static mode); K is 0 when no tuner exists. *)
-let tuning_snapshot t =
-  let et = election_timeout_now t in
-  let h =
-    let v = piggyback_h_value t in
-    if v >= 0 then v else t.config.Config.heartbeat_interval
-  in
-  let k =
-    match t.tuner with
-    | Some tuner -> Dynatune.Tuner.required_heartbeats tuner
-    | None -> 0
-  in
-  (et, h, k)
+(* An expiry, stamped with the tuning parameters in force once it has
+   been processed, (Et, h, K): h falls back to the configured interval
+   while warming (or in static mode); K is 0 when no tuner exists. *)
+let expiry_probe t =
+  let h = piggyback_h_value t in
+  Probe.Timeout_expired
+    {
+      id = t.id;
+      term = t.term;
+      randomized = t.randomized;
+      et = election_timeout_now t;
+      h = (if h >= 0 then h else t.config.Config.heartbeat_interval);
+      k =
+        (match t.tuner with
+        | Some tuner -> Dynatune.Tuner.required_heartbeats tuner
+        | None -> 0);
+    }
 
 (* {2 Action accumulation} *)
 
@@ -475,13 +477,21 @@ let set_role t ctx role =
     emit ctx (Probe (Probe.Role_change { id = t.id; role; term = t.term }))
   end
 
-let reset_tuner t ctx =
+(* Back to Step 0; [true] when there was a tuner to reset.  The probe is
+   the caller's to emit. *)
+let discard_measurements t =
   match t.tuner with
   | Some tuner ->
       Dynatune.Tuner.reset tuner;
       t.last_decision <- None;
-      emit ctx (Probe (Probe.Tuner_reset { id = t.id }))
-  | None -> ()
+      true
+  | None -> false
+
+let tuner_reset_probe t =
+  Probe (Probe.Tuner_reset { id = t.id; term = t.term })
+
+let reset_tuner t ctx =
+  if discard_measurements t then emit ctx (tuner_reset_probe t)
 
 (* Probe the tuner's chosen parameters when they change.  Runs only on
    instrumented servers: the per-heartbeat comparison (and the probe
@@ -516,6 +526,7 @@ let note_tuner_decision t ctx =
                    (Probe.Tuner_decision
                       {
                         id = t.id;
+                        term = t.term;
                         rtt_ms = Des.Time.to_ms_f (Dynatune.Tuner.rtt_mean tuner);
                         rtt_std_ms =
                           Des.Time.to_ms_f (Dynatune.Tuner.rtt_std tuner);
@@ -1087,15 +1098,14 @@ let on_election_timeout t ctx =
         arm_election t ctx
       end
       else begin
-        emit ctx
-          (Probe
-             (Probe.Timeout_expired
-                { id = t.id; term = t.term; randomized = t.randomized }));
         (* Fall back to the default parameters: discard measurements
            (Section III-B).  The lease is gone: we no longer trust the
-           leader. *)
+           leader.  The expiry is reported first, but with the
+           parameters in force after the fallback. *)
         t.leader <- None;
-        reset_tuner t ctx;
+        let reset = discard_measurements t in
+        emit ctx (Probe (expiry_probe t));
+        if reset then emit ctx (tuner_reset_probe t);
         campaign t ctx ~pre:t.config.Config.pre_vote ~force:false
       end
 

@@ -14,7 +14,8 @@ let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 
 let count_expiries cluster ~from ~until =
   let n = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
+  Des.Mtrace.iter (Cluster.trace cluster)
+    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
       if time > from && time <= until then
         match probe with
         | Raft.Probe.Timeout_expired _ -> incr n
@@ -22,7 +23,8 @@ let count_expiries cluster ~from ~until =
         | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
         | Raft.Probe.Election_started _ | Raft.Probe.Node_paused _
         | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
             ());
   !n
 

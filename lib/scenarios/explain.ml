@@ -1,6 +1,8 @@
 module Cluster = Harness.Cluster
 module Fault = Harness.Fault
-module Forensics = Telemetry.Forensics
+module Probe = Raft.Probe
+
+type entry = Probe.t Des.Mtrace.entry
 
 type election = {
   term : int;
@@ -9,27 +11,25 @@ type election = {
   cause : Telemetry.Cause.t;
   justified : bool;
   prior_leader : int option;
-  provenance : Forensics.record option;
-  chain : Forensics.record list;
+  provenance : entry option;
+  chain : entry list;
 }
 
-(* A fold over the ring, oldest first.  Liveness bookkeeping (who is
+(* A fold over the stream, oldest first.  Liveness bookkeeping (who is
    paused at each instant) decides justified vs spurious; the per-cause
    index reassembles each election's chain — the election-timer cause
    propagates through vote requests to the voters and back on their
-   responses, so every record it stamps belongs to one campaign. *)
-let analyze records =
-  let by_cause : (Telemetry.Cause.t, Forensics.record list) Hashtbl.t =
+   responses, so every entry it stamps belongs to one campaign. *)
+let analyze (entries : entry list) =
+  let by_cause : (Telemetry.Cause.t, entry list) Hashtbl.t =
     Hashtbl.create 64
   in
   List.iter
-    (fun (r : Forensics.record) ->
-      if not (Telemetry.Cause.is_none r.Forensics.cause) then
-        Hashtbl.replace by_cause r.Forensics.cause
-          (r
-          :: Option.value ~default:[]
-               (Hashtbl.find_opt by_cause r.Forensics.cause)))
-    records;
+    (fun (e : entry) ->
+      if not (Telemetry.Cause.is_none e.cause) then
+        Hashtbl.replace by_cause e.cause
+          (e :: Option.value ~default:[] (Hashtbl.find_opt by_cause e.cause)))
+    entries;
   let chain_of c =
     List.rev (Option.value ~default:[] (Hashtbl.find_opt by_cause c))
   in
@@ -38,38 +38,41 @@ let analyze records =
   let cur_leader = ref None in
   let out = ref [] in
   List.iter
-    (fun (r : Forensics.record) ->
-      match r.Forensics.ev with
-      | Forensics.Paused -> Hashtbl.replace down r.Forensics.node ()
-      | Forensics.Resumed -> Hashtbl.remove down r.Forensics.node
-      | Forensics.Tuner _ -> Hashtbl.replace last_tuner r.Forensics.node r
-      | Forensics.Role { role } when String.equal role "leader" ->
+    (fun (e : entry) ->
+      let node = Netsim.Node_id.to_int (Probe.node e.ev) in
+      match e.ev with
+      | Probe.Node_paused _ -> Hashtbl.replace down node ()
+      | Probe.Node_resumed _ -> Hashtbl.remove down node
+      | Probe.Tuner_decision _ -> Hashtbl.replace last_tuner node e
+      | Probe.Role_change { role = Raft.Types.Leader; term; _ } ->
           let prior = !cur_leader in
           let justified =
             match prior with None -> true | Some l -> Hashtbl.mem down l
           in
-          cur_leader := Some r.Forensics.node;
+          cur_leader := Some node;
           out :=
             {
-              term = r.Forensics.term;
-              winner = r.Forensics.node;
-              won_at = r.Forensics.at;
-              cause = r.Forensics.cause;
+              term;
+              winner = node;
+              won_at = e.at;
+              cause = e.cause;
               justified;
               prior_leader = prior;
-              provenance = Hashtbl.find_opt last_tuner r.Forensics.node;
-              chain = chain_of r.Forensics.cause;
+              provenance = Hashtbl.find_opt last_tuner node;
+              chain = chain_of e.cause;
             }
             :: !out
-      | Forensics.Role _ | Forensics.Timeout _ | Forensics.Campaign _
-      | Forensics.Vote _ | Forensics.Tuner_reset | Forensics.Prevote_abort
-      | Forensics.Transfer _ | Forensics.Config _ ->
+      | Probe.Role_change _ | Probe.Timeout_expired _
+      | Probe.Pre_vote_aborted _ | Probe.Tuner_reset _
+      | Probe.Election_started _ | Probe.Config_change _
+      | Probe.Transfer_started _ | Probe.Transfer_aborted _
+      | Probe.Vote_received _ ->
           ())
-    records;
+    entries;
   List.rev !out
 
 let run ?(seed = 23L) ?(failures = 3) ?(config = Raft.Config.dynatune ()) () =
-  let forensics = Forensics.create () in
+  let forensics = Telemetry.Forensics.create () in
   let telemetry = Telemetry.Metrics.create ~enabled:true () in
   let cluster =
     Cluster.create ~seed ~n:5 ~config ~telemetry ~forensics ()
@@ -91,7 +94,7 @@ let run ?(seed = 23L) ?(failures = 3) ?(config = Raft.Config.dynatune ()) () =
         Cluster.run_for cluster (Des.Time.sec 10)
     | None -> failwith "explain: no leader to kill"
   done;
-  Forensics.records forensics
+  Des.Mtrace.events (Cluster.trace cluster)
 
 let verdict e =
   if e.justified then
@@ -120,9 +123,9 @@ let print ppf elections =
       Report.kv ppf "cause" (Telemetry.Cause.to_string e.cause);
       Report.kv ppf "provenance"
         (match e.provenance with
-        | Some r -> Forensics.render_record r
+        | Some e -> Probe.render_entry e
         | None -> "defaults (no tuner decision recorded)");
       List.iter
-        (fun r -> Report.kv ppf "chain" (Forensics.render_record r))
+        (fun e -> Report.kv ppf "chain" (Probe.render_entry e))
         e.chain)
     elections

@@ -1,5 +1,5 @@
-(** The [explain] analysis: reconstruct, from the forensics ring, the
-    causal chain behind every leadership change.
+(** The [explain] analysis: reconstruct, from a causally stamped cluster
+    trace, the causal chain behind every leadership change.
 
     Each election is traced end to end — the tuner decision that set the
     parameters in force ({e measurement → estimator → tuner}), the
@@ -7,16 +7,19 @@
     the campaign, the votes that crossed the network carrying the
     election's cause, and the resulting role change — and classified:
 
-    - {e justified}: the previous leader really was down (a fault record
+    - {e justified}: the previous leader really was down (a fault entry
       precedes the timeout with no recovery in between), or there was no
       leader to begin with;
     - {e spurious}: a live leader was deposed — the timeout fired on a
       healthy cluster, the disruption Dynatune's [K]-of-[h] suspicion
       threshold exists to prevent.
 
-    {!analyze} is pure (a fold over records), so tests can feed it
-    synthetic rings; {!run} produces a real ring from a pinned
+    {!analyze} is pure (a fold over entries), so tests can feed it
+    synthetic streams; {!run} produces a real one from a pinned
     deterministic geo-WAN failover scenario. *)
+
+type entry = Raft.Probe.t Des.Mtrace.entry
+(** One stamped transition of the cluster trace. *)
 
 type election = {
   term : int;  (** the term the winner established *)
@@ -30,30 +33,30 @@ type election = {
   prior_leader : int option;
       (** the leader deposed (or succeeded), [None] for the first
           election *)
-  provenance : Telemetry.Forensics.record option;
+  provenance : entry option;
       (** the winner's last tuner decision before the win: where the
           [Et]/[h]/[K] in force came from ([None] = defaults) *)
-  chain : Telemetry.Forensics.record list;
-      (** every record sharing [cause], oldest first: timeout, campaign,
+  chain : entry list;
+      (** every entry sharing [cause], oldest first: timeout, campaign,
           votes, role changes *)
 }
 
-val analyze : Telemetry.Forensics.record list -> election list
-(** Walk a ring dump (oldest first, as {!Telemetry.Forensics.records}
-    returns it) and reconstruct one {!election} per record of a node
-    becoming leader. *)
+val analyze : entry list -> election list
+(** Walk a stamped trace (oldest first, as {!Des.Mtrace.events} returns
+    it) and reconstruct one {!election} per entry of a node becoming
+    leader. *)
 
 val run :
   ?seed:int64 ->
   ?failures:int ->
   ?config:Raft.Config.t ->
   unit ->
-  Telemetry.Forensics.record list
+  entry list
 (** The pinned scenario the CLI replays: a 5-server cluster on the
     Fig 8 geo WAN (default [config]: Dynatune, [seed = 23], [failures =
-    3] leader kills with recovery), forensics ring and telemetry
+    3] leader kills with recovery), causal tracking and telemetry
     enabled, no CPU cost model (so causal context is never deferred).
-    Returns the retained records. *)
+    Returns every entry of the cluster trace. *)
 
 val print : Format.formatter -> election list -> unit
 (** Deterministic rendering: a summary line (justified vs spurious

@@ -78,7 +78,8 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
       majority_timeout
   in
   let false_timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
+  Des.Mtrace.iter (Cluster.trace cluster)
+    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
       if time > measure_from && time <= measure_until then
         match probe with
         | Raft.Probe.Timeout_expired _ -> incr false_timeouts
@@ -87,7 +88,8 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
         | Raft.Probe.Role_change _ | Raft.Probe.Tuner_reset _
         | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
         | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _ ->
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
             ());
   let ots =
     Monitor.leaderless_intervals cluster ~from:measure_from

@@ -88,7 +88,8 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
       h
   in
   let elections = ref 0 and expiries = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster) ~f:(fun time probe ->
+  Des.Mtrace.iter (Cluster.trace cluster)
+    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
       if time > measure_from && time <= measure_until then
         match probe with
         | Raft.Probe.Election_started _ -> incr elections
@@ -97,7 +98,7 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
         | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
         | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
         | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-        | Raft.Probe.Transfer_aborted _ ->
+        | Raft.Probe.Transfer_aborted _ | Raft.Probe.Vote_received _ ->
             ());
   {
     mode = Raft.Config.mode_name config;

@@ -12,13 +12,13 @@
       bits 59-61  kind        (3 bits, 1-based so a valid cause is never 0)
       bits 47-58  origin node (12 bits, truncated)
       bits 32-46  term        (15 bits, truncated)
-      bits  0-31  sequence    (32 bits, per-ring draw counter)
+      bits  0-31  sequence    (32 bits, per-switch draw counter)
     v}
 
     Node and term are identification aids, not authoritative values: a
     cluster larger than 4095 nodes or a term beyond 32767 wraps within
     its field.  The sequence number disambiguates — it is unique per
-    forensics ring for the lifetime of a run. *)
+    {!Forensics} switch (one per cluster) for the lifetime of a run. *)
 
 type t = int
 (** Causes travel through layers (netsim) that cannot depend on this

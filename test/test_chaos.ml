@@ -98,8 +98,8 @@ let run_chaos ~seed ~config ~steps =
 
 let check_election_safety c =
   let leaders_by_term = Hashtbl.create 64 in
-  Des.Mtrace.iter (Cluster.trace c) ~f:(fun _ probe ->
-      match probe with
+  Des.Mtrace.iter (Cluster.trace c) ~f:(fun e ->
+      match e.Des.Mtrace.ev with
       | Raft.Probe.Role_change { id; role = Raft.Types.Leader; term } -> (
           match Hashtbl.find_opt leaders_by_term term with
           | Some other when not (Node_id.equal other id) ->

@@ -185,37 +185,69 @@ let test_timer_rearm_from_callback () =
 
 (* {2 Mtrace} *)
 
+let stamps (en : _ Mtrace.entry) = (en.at, (en.cause, en.parent), en.ev)
+let timed_entry (en : _ Mtrace.entry) = (en.at, en.ev)
+let timed trace = List.map timed_entry (Mtrace.events trace)
+
+(* Time and both causal stamps survive every read path — retained
+   entries, [iter], [find_first], [tail], live observers — and [clear]
+   drops them with the entries. *)
 let test_mtrace_records_time () =
   let e = Engine.create () in
   let trace : string Mtrace.t = Mtrace.create e in
-  ignore (Engine.schedule_at e (Time.ms 5) (fun () -> Mtrace.emit trace "a"));
-  ignore (Engine.schedule_at e (Time.ms 9) (fun () -> Mtrace.emit trace "b"));
+  let seen = ref [] in
+  Mtrace.subscribe trace (fun en -> seen := stamps en :: !seen);
+  ignore
+    (Engine.schedule_at e (Time.ms 5) (fun () ->
+         Mtrace.emit trace ~cause:7 ~parent:3 "a"));
+  ignore
+    (Engine.schedule_at e (Time.ms 9) (fun () ->
+         Mtrace.emit trace ~cause:8 ~parent:0 "b"));
   Engine.run e;
-  Alcotest.(check (list (pair int string)))
-    "events with timestamps"
-    [ (Time.ms 5, "a"); (Time.ms 9, "b") ]
-    (Mtrace.events trace)
+  let stamped = Alcotest.(list (triple int (pair int int) string)) in
+  let expected = [ (Time.ms 5, (7, 3), "a"); (Time.ms 9, (8, 0), "b") ] in
+  Alcotest.check stamped "events with timestamps and stamps" expected
+    (List.map stamps (Mtrace.events trace));
+  let iterated = ref [] in
+  Mtrace.iter trace ~f:(fun en -> iterated := stamps en :: !iterated);
+  Alcotest.check stamped "iter keeps the stamps" expected (List.rev !iterated);
+  Alcotest.check stamped "observers receive the stamps" expected
+    (List.rev !seen);
+  Alcotest.(check (option (triple int (pair int int) string)))
+    "find_first keeps the stamps"
+    (Some (Time.ms 9, (8, 0), "b"))
+    (Option.map stamps
+       (Mtrace.find_first trace ~after:(Time.ms 5) ~f:(fun _ -> true)));
+  Alcotest.check stamped "tail is the newest, oldest first"
+    [ (Time.ms 9, (8, 0), "b") ]
+    (List.map stamps (Mtrace.tail trace 1));
+  Alcotest.check stamped "tail beyond the retained window" expected
+    (List.map stamps (Mtrace.tail trace 5));
+  Mtrace.clear trace;
+  Alcotest.check stamped "clear drops entries and stamps" []
+    (List.map stamps (Mtrace.events trace))
 
 let test_mtrace_find_first () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create e in
   List.iter
     (fun (t, v) ->
-      ignore (Engine.schedule_at e t (fun () -> Mtrace.emit trace v)))
+      ignore (Engine.schedule_at e t (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 v)))
     [ (Time.ms 1, 10); (Time.ms 2, 20); (Time.ms 3, 20) ];
   Engine.run e;
   Alcotest.(check (option (pair int int)))
     "first match after cutoff"
     (Some (Time.ms 2, 20))
-    (Mtrace.find_first trace ~after:(Time.ms 1) ~f:(fun a -> a = 20))
+    (Option.map timed_entry
+       (Mtrace.find_first trace ~after:(Time.ms 1) ~f:(fun a -> a = 20)))
 
 let test_mtrace_subscribe () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create e in
   let seen = ref [] in
-  Mtrace.subscribe trace (fun _ v -> seen := v :: !seen);
-  ignore (Engine.schedule_at e (Time.ms 1) (fun () -> Mtrace.emit trace 1));
-  ignore (Engine.schedule_at e (Time.ms 2) (fun () -> Mtrace.emit trace 2));
+  Mtrace.subscribe trace (fun en -> seen := en.Mtrace.ev :: !seen);
+  ignore (Engine.schedule_at e (Time.ms 1) (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 1));
+  ignore (Engine.schedule_at e (Time.ms 2) (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 2));
   Engine.run e;
   Alcotest.(check (list int)) "observer sees all" [ 1; 2 ] (List.rev !seen)
 
@@ -224,7 +256,7 @@ let emit_seq trace e values =
     (fun i v ->
       ignore
         (Engine.schedule_at e (Time.ms (i + 1)) (fun () ->
-             Mtrace.emit trace v)))
+             Mtrace.emit trace ~cause:0 ~parent:0 v)))
     values;
   Engine.run e
 
@@ -237,11 +269,12 @@ let test_mtrace_capacity_trims () =
   Alcotest.(check (list (pair int int)))
     "newest survive, oldest-first order"
     [ (Time.ms 4, 4); (Time.ms 5, 5) ]
-    (Mtrace.events trace);
+    (timed trace);
   (* find_first scans only the retained window. *)
   Alcotest.(check (option (pair int int)))
     "find_first sees retained only" None
-    (Mtrace.find_first trace ~after:Time.zero ~f:(fun v -> v = 1))
+    (Option.map timed_entry
+       (Mtrace.find_first trace ~after:Time.zero ~f:(fun v -> v = 1)))
 
 let test_mtrace_unbounded_keeps_all () =
   let e = Engine.create () in
@@ -254,7 +287,7 @@ let test_mtrace_capacity_observers_see_all () =
   let e = Engine.create () in
   let trace : int Mtrace.t = Mtrace.create ~capacity:1 e in
   let seen = ref [] in
-  Mtrace.subscribe trace (fun _ v -> seen := v :: !seen);
+  Mtrace.subscribe trace (fun en -> seen := en.Mtrace.ev :: !seen);
   emit_seq trace e [ 1; 2; 3 ];
   Alcotest.(check (list int))
     "bound trims storage, not observers" [ 1; 2; 3 ] (List.rev !seen)
@@ -278,7 +311,7 @@ let test_mtrace_clear_drops_history () =
   Mtrace.clear trace;
   Alcotest.(check int) "empty after clear" 0 (Mtrace.length trace);
   Alcotest.(check (list (pair int int))) "no replayable history" []
-    (Mtrace.events trace)
+    (timed trace)
 
 let tests =
   [

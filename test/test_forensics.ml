@@ -1,16 +1,22 @@
-(* The causal forensics layer: cause-ID packing, the bounded ring and
-   its eviction/merge semantics, the time-series recorder (cadence,
-   exports, shard merge, digest neutrality), the explain analysis over
-   synthetic and live rings (with a golden file pinning the rendered
-   output), and the flight recorder attached to invariant violations. *)
+(* The causal forensics layer: cause-ID packing, the causal-tracking
+   switch and its neutrality (tracking adds vote receipts and stamps to
+   the cluster trace, and changes nothing else), the time-series
+   recorder (cadence, exports, shard merge, digest neutrality), the
+   explain analysis over synthetic and live streams (with a golden file
+   pinning the rendered output), and the flight recorder attached to
+   invariant violations. *)
 
 module Cause = Telemetry.Cause
 module Forensics = Telemetry.Forensics
+module Probe = Raft.Probe
+module Node_id = Netsim.Node_id
 module Recorder = Telemetry.Recorder
 module Metrics = Telemetry.Metrics
 module Q = QCheck
 
 let to_alcotest = QCheck_alcotest.to_alcotest
+
+type entry = Scenarios.Explain.entry
 
 (* {1 Cause packing} *)
 
@@ -58,62 +64,77 @@ let prop_cause_roundtrip =
       && Cause.kind c = kind && Cause.node c = node && Cause.term c = term
       && Cause.seq c = seq)
 
-(* {1 The ring} *)
-
-let record_n ring n =
-  for i = 1 to n do
-    let cause =
-      Forensics.new_cause ring ~kind:Cause.Internal ~node:0 ~term:1
-    in
-    Forensics.record ring ~at:(Des.Time.ms i) ~node:0 ~term:1
-      ~cause ~parent:Cause.none
-      (Forensics.Role { role = Printf.sprintf "r%d" i })
-  done
-
-let test_ring_eviction_order () =
-  let ring = Forensics.create ~capacity:4 () in
-  record_n ring 7;
-  Alcotest.(check int) "length capped" 4 (Forensics.length ring);
-  Alcotest.(check int) "dropped counts evictions" 3 (Forensics.dropped ring);
-  (* Oldest-first: the survivors are records 4..7 in insertion order. *)
-  let seqs =
-    List.map (fun (r : Forensics.record) -> Cause.seq r.cause)
-      (Forensics.records ring)
-  in
-  Alcotest.(check (list int)) "oldest evicted first" [ 4; 5; 6; 7 ] seqs;
-  let tail = Forensics.tail ring 2 in
-  Alcotest.(check int) "tail length" 2 (List.length tail);
-  Alcotest.(check (list string)) "tail = last renders" tail
-    (match List.rev (Forensics.render ring) with
-    | b :: a :: _ -> [ a; b ]
-    | _ -> [])
-
-let test_ring_capacity_validation () =
-  match Forensics.create ~capacity:0 () with
-  | _ -> Alcotest.fail "capacity 0 accepted"
-  | exception Invalid_argument _ -> ()
+(* {1 The switch} *)
 
 let test_forensics_disabled_inert () =
   List.iter
-    (fun ring ->
-      Alcotest.(check bool) "disabled" false (Forensics.enabled ring);
-      let c = Forensics.new_cause ring ~kind:Cause.Fault ~node:3 ~term:9 in
-      Alcotest.(check bool) "new_cause is none" true (Cause.is_none c);
-      Forensics.record ring ~at:Des.Time.zero ~node:0 ~term:0 ~cause:c
-        ~parent:Cause.none Forensics.Paused;
-      Alcotest.(check int) "nothing retained" 0 (Forensics.length ring);
-      Alcotest.(check int) "nothing dropped" 0 (Forensics.dropped ring))
-    [ Forensics.noop; Forensics.create ~enabled:false () ]
-
-let test_merge_rendered_prefixes () =
-  let merged =
-    Forensics.merge_rendered [ [ "a"; "b" ]; []; [ "c" ] ]
+    (fun fo ->
+      Alcotest.(check bool) "disabled" false (Forensics.enabled fo);
+      let c = Forensics.new_cause fo ~kind:Cause.Fault ~node:3 ~term:9 in
+      Alcotest.(check bool) "new_cause is none" true (Cause.is_none c))
+    [ Forensics.noop; Forensics.create ~enabled:false () ];
+  let fo = Forensics.create () in
+  let seqs =
+    List.init 3 (fun _ ->
+        Cause.seq (Forensics.new_cause fo ~kind:Cause.Client ~node:0 ~term:1))
   in
+  Alcotest.(check (list int)) "enabled switch counts causes" [ 1; 2; 3 ] seqs
+
+(* The explain scenario (seed 23, Dynatune, three leader kills with
+   recovery on the geo WAN), with causal tracking on or off. *)
+let geo_failovers ~forensics =
+  let cluster =
+    Harness.Cluster.create ~seed:23L ~n:5
+      ~config:(Raft.Config.dynatune ())
+      ~telemetry:(Metrics.create ~enabled:true ())
+      ~forensics ()
+  in
+  Scenarios.Geo.apply cluster ();
+  Harness.Cluster.start cluster;
+  let await () =
+    match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 120) with
+    | Some _ -> ()
+    | None -> Alcotest.fail "no leader elected"
+  in
+  await ();
+  Harness.Cluster.run_for cluster (Des.Time.sec 30);
+  for _ = 1 to 3 do
+    match Harness.Fault.kill_leader cluster with
+    | Some (failed, _) ->
+        await ();
+        Harness.Cluster.run_for cluster (Des.Time.sec 5);
+        Harness.Fault.recover cluster failed;
+        Harness.Cluster.run_for cluster (Des.Time.sec 10)
+    | None -> Alcotest.fail "no leader to kill"
+  done;
+  ( Des.Mtrace.events (Harness.Cluster.trace cluster),
+    Des.Engine.processed_events (Harness.Cluster.engine cluster) )
+
+let is_vote (e : entry) =
+  match e.ev with Probe.Vote_received _ -> true | _ -> false
+
+let timed_pp (e : entry) =
+  Format.asprintf "%a %a" Des.Time.pp e.at Probe.pp e.ev
+
+(* Causal tracking only observes: with it on, the trace gains vote
+   receipts and stamps, and nothing else moves — the same transitions
+   at the same instants, the same number of DES events processed. *)
+let test_tracking_is_neutral () =
+  let off, off_events = geo_failovers ~forensics:Forensics.noop in
+  let on, on_events = geo_failovers ~forensics:(Forensics.create ()) in
+  Alcotest.(check int) "probes with tracking off" 1245 (List.length off);
+  Alcotest.(check int) "DES events with tracking off" 6647 off_events;
+  Alcotest.(check int) "same DES events with tracking on" off_events on_events;
   Alcotest.(check (list string))
-    "shard-order concatenation with s<i> prefixes"
-    [ "s0 a"; "s0 b"; "s2 c" ]
-    merged;
-  Alcotest.(check (list string)) "empty merge" [] (Forensics.merge_rendered [])
+    "tracking on, minus vote receipts = tracking off"
+    (List.map timed_pp off)
+    (List.map timed_pp (List.filter (fun e -> not (is_vote e)) on));
+  Alcotest.(check bool) "vote receipts only with tracking on" true
+    ((not (List.exists is_vote off)) && List.exists is_vote on);
+  Alcotest.(check bool) "no stamps with tracking off" true
+    (List.for_all
+       (fun (e : entry) -> e.cause = 0 && e.parent = 0)
+       off)
 
 (* {1 Recorder} *)
 
@@ -236,16 +257,33 @@ let prop_recorder_jobs_invariant =
       in
       String.equal (run 1) (run 2))
 
-(* {1 Explain: synthetic ring} *)
+(* {1 Explain: synthetic stream} *)
 
-(* A hand-built ring staging three elections: a first (no prior leader),
-   a justified failover (n0 paused first), and a spurious deposition
-   (n0 back up, yet n2 campaigns anyway). *)
-let synthetic_ring () =
+(* A hand-built stream staging three elections: a first (no prior
+   leader), a justified failover (n0 paused first), and a spurious
+   deposition (n0 back up, yet n2 campaigns anyway). *)
+let synthetic_stream () : entry list =
   let c ~kind ~node ~term ~seq = Cause.make ~kind ~node ~term ~seq in
-  let ms = Des.Time.ms in
-  let r ~at ~node ~term ~cause ?(parent = Cause.none) ev =
-    { Forensics.at = ms at; node; term; cause; parent; ev }
+  let ms = Des.Time.ms and n = Node_id.of_int in
+  let r ~at ~cause ?(parent = Cause.none) ev =
+    { Des.Mtrace.at = ms at; cause; parent; ev }
+  in
+  let timeout ~node ~term ~randomized =
+    Probe.Timeout_expired
+      {
+        id = n node;
+        term;
+        randomized = ms randomized;
+        et = ms 1000;
+        h = ms 100;
+        k = 1;
+      }
+  in
+  let role ~node ~term role = Probe.Role_change { id = n node; role; term } in
+  let campaign ~node ~term = Probe.Election_started { id = n node; term } in
+  let vote ~node ~term ~from =
+    Probe.Vote_received
+      { id = n node; term; from = n from; granted = true; pre = false }
   in
   let boot = c ~kind:Cause.Internal ~node:0 ~term:0 ~seq:1 in
   let e1 = c ~kind:Cause.Election_timer ~node:0 ~term:0 ~seq:2 in
@@ -255,61 +293,41 @@ let synthetic_ring () =
   let e3 = c ~kind:Cause.Election_timer ~node:2 ~term:2 ~seq:6 in
   [
     (* Election 1: cold start, n0 wins term 1. *)
-    r ~at:150 ~node:0 ~term:0 ~cause:e1 ~parent:boot
-      (Forensics.Timeout
-         {
-           randomized = ms 150;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:150 ~node:0 ~term:1 ~cause:e1 (Forensics.Campaign { pre = false });
-    r ~at:150 ~node:0 ~term:1 ~cause:e1 (Forensics.Role { role = "candidate" });
-    r ~at:200 ~node:0 ~term:1 ~cause:e1
-      (Forensics.Vote { from = 1; granted = true; pre = false });
-    r ~at:200 ~node:0 ~term:1 ~cause:e1 (Forensics.Role { role = "leader" });
+    r ~at:150 ~cause:e1 ~parent:boot (timeout ~node:0 ~term:0 ~randomized:150);
+    r ~at:150 ~cause:e1 (campaign ~node:0 ~term:1);
+    r ~at:150 ~cause:e1 (role ~node:0 ~term:1 Raft.Types.Candidate);
+    r ~at:200 ~cause:e1 (vote ~node:0 ~term:1 ~from:1);
+    r ~at:200 ~cause:e1 (role ~node:0 ~term:1 Raft.Types.Leader);
     (* n1 tunes from measurements. *)
-    r ~at:5000 ~node:1 ~term:1
+    r ~at:5000
       ~cause:(c ~kind:Cause.Internal ~node:1 ~term:1 ~seq:7)
-      (Forensics.Tuner
+      (Probe.Tuner_decision
          {
+           id = n 1;
+           term = 1;
            rtt_ms = 100.;
+           rtt_std_ms = 0.;
            loss = 0.;
            et = ms 120;
            h = ms 120;
            k = 1;
-           reason = "periodic";
+           reason = Probe.Retuned;
          });
     (* Election 2: n0 pauses, n1 takes over — justified. *)
-    r ~at:9000 ~node:0 ~term:1 ~cause:f1 Forensics.Paused;
-    r ~at:9150 ~node:1 ~term:1 ~cause:e2
-      (Forensics.Timeout
-         {
-           randomized = ms 140;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:9150 ~node:1 ~term:2 ~cause:e2 (Forensics.Campaign { pre = false });
-    r ~at:9200 ~node:1 ~term:2 ~cause:e2
-      (Forensics.Vote { from = 2; granted = true; pre = false });
-    r ~at:9200 ~node:1 ~term:2 ~cause:e2 (Forensics.Role { role = "leader" });
-    r ~at:9500 ~node:0 ~term:2 ~cause:f2 Forensics.Resumed;
+    r ~at:9000 ~cause:f1 (Probe.Node_paused { id = n 0; term = 1 });
+    r ~at:9150 ~cause:e2 (timeout ~node:1 ~term:1 ~randomized:140);
+    r ~at:9150 ~cause:e2 (campaign ~node:1 ~term:2);
+    r ~at:9200 ~cause:e2 (vote ~node:1 ~term:2 ~from:2);
+    r ~at:9200 ~cause:e2 (role ~node:1 ~term:2 Raft.Types.Leader);
+    r ~at:9500 ~cause:f2 (Probe.Node_resumed { id = n 0; term = 2 });
     (* Election 3: n1 is live, yet n2 deposes it — spurious. *)
-    r ~at:12000 ~node:2 ~term:2 ~cause:e3
-      (Forensics.Timeout
-         {
-           randomized = ms 130;
-           et = ms 1000;
-           h = ms 100;
-           k = 1;
-         });
-    r ~at:12000 ~node:2 ~term:3 ~cause:e3 (Forensics.Campaign { pre = false });
-    r ~at:12050 ~node:2 ~term:3 ~cause:e3 (Forensics.Role { role = "leader" });
+    r ~at:12000 ~cause:e3 (timeout ~node:2 ~term:2 ~randomized:130);
+    r ~at:12000 ~cause:e3 (campaign ~node:2 ~term:3);
+    r ~at:12050 ~cause:e3 (role ~node:2 ~term:3 Raft.Types.Leader);
   ]
 
 let test_explain_analyze_synthetic () =
-  let elections = Scenarios.Explain.analyze (synthetic_ring ()) in
+  let elections = Scenarios.Explain.analyze (synthetic_stream ()) in
   Alcotest.(check int) "three elections" 3 (List.length elections);
   let e1 = List.nth elections 0
   and e2 = List.nth elections 1
@@ -318,12 +336,12 @@ let test_explain_analyze_synthetic () =
   Alcotest.(check bool) "cold start justified" true e1.Scenarios.Explain.justified;
   Alcotest.(check (option int)) "no prior leader" None
     e1.Scenarios.Explain.prior_leader;
-  (* The chain reassembles every record stamped with the election cause. *)
+  (* The chain reassembles every entry stamped with the election cause. *)
   Alcotest.(check int) "chain length" 5
     (List.length e1.Scenarios.Explain.chain);
   Alcotest.(check bool) "chain starts at the timeout" true
-    (match (List.hd e1.Scenarios.Explain.chain).Forensics.ev with
-    | Forensics.Timeout _ -> true
+    (match (List.hd e1.Scenarios.Explain.chain).ev with
+    | Probe.Timeout_expired _ -> true
     | _ -> false);
   Alcotest.(check int) "failover winner" 1 e2.Scenarios.Explain.winner;
   Alcotest.(check bool) "failover justified" true e2.Scenarios.Explain.justified;
@@ -331,7 +349,7 @@ let test_explain_analyze_synthetic () =
     e2.Scenarios.Explain.prior_leader;
   Alcotest.(check bool) "provenance = last tuner decision" true
     (match e2.Scenarios.Explain.provenance with
-    | Some { Forensics.ev = Forensics.Tuner _; node = 1; _ } -> true
+    | Some { ev = Probe.Tuner_decision { id; _ }; _ } -> Node_id.to_int id = 1
     | _ -> false);
   Alcotest.(check bool) "live leader deposed is spurious" false
     e3.Scenarios.Explain.justified;
@@ -349,7 +367,7 @@ let read_golden name =
 let test_explain_print_golden () =
   let rendered =
     Format.asprintf "%a" Scenarios.Explain.print
-      (Scenarios.Explain.analyze (synthetic_ring ()))
+      (Scenarios.Explain.analyze (synthetic_stream ()))
   in
   (* Regenerate with: DYNATUNE_GOLDEN_REGEN=1 (run from test/). *)
   if Sys.getenv_opt "DYNATUNE_GOLDEN_REGEN" <> None then begin
@@ -360,15 +378,15 @@ let test_explain_print_golden () =
   Alcotest.(check string) "explain output pinned" (read_golden "explain.golden.txt")
     rendered
 
-(* {1 Explain: live ring} *)
+(* {1 Explain: live stream} *)
 
 (* Acceptance: the analysis reconstructs complete chains from a real
    run — every leadership change has a cause, its chain contains the
    timeout and campaign that produced it and ends in the winning role
    change, and every post-kill election is classified justified. *)
 let test_explain_live_chains_complete () =
-  let records = Scenarios.Explain.run ~failures:1 () in
-  let elections = Scenarios.Explain.analyze records in
+  let entries = Scenarios.Explain.run ~failures:1 () in
+  let elections = Scenarios.Explain.analyze entries in
   Alcotest.(check bool) "at least initial + failover elections" true
     (List.length elections >= 2);
   List.iter
@@ -377,56 +395,84 @@ let test_explain_live_chains_complete () =
         (Cause.is_none e.cause);
       Alcotest.(check bool) "cause is an election timer" true
         (Cause.kind e.cause = Cause.Election_timer);
-      let has p = List.exists p e.chain in
+      let has p = List.exists (fun (en : entry) -> p en.ev) e.chain in
       Alcotest.(check bool) "chain has the timeout" true
-        (has (fun r ->
-             match r.Forensics.ev with
-             | Forensics.Timeout _ -> true
-             | _ -> false));
+        (has (function Probe.Timeout_expired _ -> true | _ -> false));
       Alcotest.(check bool) "chain has the campaign" true
-        (has (fun r ->
-             match r.Forensics.ev with
-             | Forensics.Campaign _ -> true
-             | _ -> false));
+        (has (function Probe.Election_started _ -> true | _ -> false));
       Alcotest.(check bool) "chain has granted votes" true
-        (has (fun r ->
-             match r.Forensics.ev with
-             | Forensics.Vote { granted = true; _ } -> true
-             | _ -> false));
-      (* The chain crosses the network: the voters' records carry the
+        (has (function
+          | Probe.Vote_received { granted = true; _ } -> true
+          | _ -> false));
+      (* The chain crosses the network: the voters' entries carry the
          winner's cause. *)
       Alcotest.(check bool) "chain spans several nodes" true
         (List.length
            (List.sort_uniq compare
-              (List.map (fun r -> r.Forensics.node) e.chain))
+              (List.map
+                 (fun (en : entry) -> Node_id.to_int (Probe.node en.ev))
+                 e.chain))
         >= 2);
-      (* Straggler vote responses and follower-side records stamped with
+      (* Straggler vote responses and follower-side entries stamped with
          the same cause can land after the win, so "contains", not
          "ends at". *)
       Alcotest.(check bool) "chain contains the winning role change" true
-        (has (fun r ->
-             match r.Forensics.ev with
-             | Forensics.Role { role = "leader" } -> r.Forensics.node = e.winner
-             | _ -> false));
+        (has (function
+          | Probe.Role_change { role = Raft.Types.Leader; id; _ } ->
+              Node_id.to_int id = e.winner
+          | _ -> false));
       Alcotest.(check bool) "kill-driven elections are justified" true
         e.justified)
     elections
 
-(* Every live record of the one-kill run, rendered line by line and
+(* Every live entry of the one-kill run, rendered line by line and
    digested: any change to what is recorded, in which order, with which
    stamps or in which words moves the pin. *)
 let test_explain_live_pinned () =
   let lines =
-    List.map Forensics.render_record (Scenarios.Explain.run ~failures:1 ())
+    List.map Probe.render_entry (Scenarios.Explain.run ~failures:1 ())
   in
   Alcotest.(check int) "live record count" 853 (List.length lines);
   Alcotest.(check int64) "rendered live chain digest" 0xfed035142e983ce6L
     (Check.Digest.of_string (String.concat "\n" lines))
 
+(* The causal rendering of the transitions the golden file does not
+   reach. *)
+let test_render_entry_transitions () =
+  let n = Node_id.of_int in
+  let line ev =
+    Probe.render_entry
+      { Des.Mtrace.at = Des.Time.ms 1500; cause = 0; parent = 0; ev }
+  in
+  let change = Raft.Log.Add_learner (n 3) in
+  Alcotest.(check (list string)) "one line per transition"
+    [
+      "1.500s n1 t4 -<-- pre-vote aborted";
+      "1.500s n1 t4 -<-- tuner reset";
+      "1.500s n1 t4 -<-- pre-vote from n2: denied";
+      "1.500s n1 t4 -<-- transfer to n3";
+      "1.500s n1 t4 -<-- transfer aborted";
+      "1.500s n1 t4 -<-- config appended " ^ Raft.Log.show_change change;
+      "1.500s n1 t4 -<-- paused";
+    ]
+    (List.map line
+       [
+         Probe.Pre_vote_aborted { id = n 1; term = 4 };
+         Probe.Tuner_reset { id = n 1; term = 4 };
+         Probe.Vote_received
+           { id = n 1; term = 4; from = n 2; granted = false; pre = true };
+         Probe.Transfer_started { id = n 1; term = 4; target = n 3 };
+         Probe.Transfer_aborted { id = n 1; term = 4 };
+         Probe.Config_change
+           { id = n 1; term = 4; index = 9; change; committed = false };
+         Probe.Node_paused { id = n 1; term = 4 };
+       ])
+
 (* {1 Flight recorder} *)
 
-(* Mirrors test_check's broken-toy pattern: a staged violation must
-   carry whatever the registered flight-recorder hook returns. *)
+(* Mirrors test_check's broken-toy pattern: a staged violation carries
+   whatever the registered flight-recorder hook returns, and renders the
+   observed trace's tail as its recent context. *)
 let test_violation_carries_flight_dump () =
   let ids = Netsim.Node_id.range 2 in
   let a = Test_check.fake (List.nth ids 0)
@@ -436,9 +482,16 @@ let test_violation_carries_flight_dump () =
       ~nodes:(List.map Test_check.view [ a; b ])
       ()
   in
-  let ring = Forensics.create ~capacity:4 () in
-  record_n ring 2;
-  Check.set_flight_recorder t (fun () -> Forensics.tail ring 4);
+  let trace = Des.Mtrace.create (Des.Engine.create ()) in
+  Check.observe_trace t trace;
+  let id = List.hd ids in
+  let fault = Cause.make ~kind:Cause.Fault ~node:0 ~term:1 ~seq:1 in
+  Des.Mtrace.emit trace ~cause:fault ~parent:Cause.none
+    (Probe.Node_paused { id; term = 1 });
+  Des.Mtrace.emit trace ~cause:fault ~parent:Cause.none
+    (Probe.Node_resumed { id; term = 1 });
+  let flight () = List.map Probe.render_entry (Des.Mtrace.tail trace 4) in
+  Check.set_flight_recorder t flight;
   Check.check_now t;
   a.Test_check.role <- Raft.Types.Leader;
   a.Test_check.term <- 3;
@@ -447,8 +500,13 @@ let test_violation_carries_flight_dump () =
   match Check.check_now t with
   | () -> Alcotest.fail "staged violation not raised"
   | exception Check.Violation v ->
-      Alcotest.(check (list string)) "violation carries the ring tail"
-        (Forensics.tail ring 4) v.Check.flight;
+      Alcotest.(check (list string)) "violation carries the causal tail"
+        [ "0.000s n0 t1 ft:n0/t1#1<-- paused";
+          "0.000s n0 t1 ft:n0/t1#1<-- resumed" ]
+        v.Check.flight;
+      Alcotest.(check (list string)) "recent renders the trace tail"
+        [ "0.000s n0 paused"; "0.000s n0 resumed" ]
+        v.Check.recent;
       (* The dump is part of the rendered report. *)
       let contains haystack needle =
         let n = String.length needle and h = String.length haystack in
@@ -457,7 +515,32 @@ let test_violation_carries_flight_dump () =
       in
       let rendered = Format.asprintf "%a" Check.pp_violation v in
       Alcotest.(check bool) "pp includes the flight recorder" true
-        (List.for_all (contains rendered) (Forensics.tail ring 4))
+        (List.for_all (contains rendered) (flight ()))
+
+(* Probe-driven checks raise from inside the trace observer; the
+   entry that broke the invariant is already retained, so it closes the
+   report's recent context. *)
+let test_probe_violation_recent_ends_at_culprit () =
+  let ids = Netsim.Node_id.range 2 in
+  let t =
+    Check.create ~mode:Check.Always
+      ~nodes:(List.map (fun id -> Test_check.view (Test_check.fake id)) ids)
+      ()
+  in
+  let trace = Des.Mtrace.create (Des.Engine.create ()) in
+  Check.observe_trace t trace;
+  let lead id =
+    Des.Mtrace.emit trace ~cause:0 ~parent:0
+      (Probe.Role_change { id; role = Raft.Types.Leader; term = 2 })
+  in
+  lead (List.nth ids 0);
+  match lead (List.nth ids 1) with
+  | () -> Alcotest.fail "second leader in term 2 not caught"
+  | exception Check.Violation v ->
+      Alcotest.(check string) "invariant" "election-safety" v.Check.invariant;
+      Alcotest.(check (list string)) "recent ends at the culprit"
+        [ "0.000s n0 -> leader (term 2)"; "0.000s n1 -> leader (term 2)" ]
+        v.Check.recent
 
 let test_violation_default_flight_empty () =
   let ids = Netsim.Node_id.range 2 in
@@ -484,14 +567,10 @@ let tests =
       test_cause_roundtrip;
     Alcotest.test_case "cause: to_string" `Quick test_cause_to_string;
     to_alcotest prop_cause_roundtrip;
-    Alcotest.test_case "ring: eviction order and dropped count" `Quick
-      test_ring_eviction_order;
-    Alcotest.test_case "ring: capacity validated" `Quick
-      test_ring_capacity_validation;
-    Alcotest.test_case "ring: disabled is inert" `Quick
+    Alcotest.test_case "switch: disabled is inert" `Quick
       test_forensics_disabled_inert;
-    Alcotest.test_case "ring: merge_rendered shard prefixes" `Quick
-      test_merge_rendered_prefixes;
+    Alcotest.test_case "switch: causal tracking is neutral" `Quick
+      test_tracking_is_neutral;
     Alcotest.test_case "recorder: cadence, dump, exports" `Quick
       test_recorder_cadence;
     Alcotest.test_case "recorder: disabled is inert" `Quick
@@ -503,7 +582,7 @@ let tests =
     Alcotest.test_case "fig8: recorder series jobs-invariant" `Quick
       test_fig8_recorder_jobs_invariant;
     to_alcotest prop_recorder_jobs_invariant;
-    Alcotest.test_case "explain: synthetic ring analysis" `Quick
+    Alcotest.test_case "explain: synthetic stream analysis" `Quick
       test_explain_analyze_synthetic;
     Alcotest.test_case "explain: rendered output (golden)" `Quick
       test_explain_print_golden;
@@ -513,6 +592,10 @@ let tests =
       test_explain_live_pinned;
     Alcotest.test_case "check: violation carries flight dump" `Quick
       test_violation_carries_flight_dump;
+    Alcotest.test_case "explain: causal rendering of transitions" `Quick
+      test_render_entry_transitions;
+    Alcotest.test_case "check: probe violation's recent ends at culprit"
+      `Quick test_probe_violation_recent_ends_at_culprit;
     Alcotest.test_case "check: default flight dump empty" `Quick
       test_violation_default_flight_empty;
   ]

@@ -35,8 +35,8 @@ let test_single_leader_per_term () =
   Cluster.run_for c (Des.Time.sec 30);
   (* Across the whole trace, at most one Role_change-to-leader per term. *)
   let leaders_by_term = Hashtbl.create 16 in
-  Des.Mtrace.iter (Cluster.trace c) ~f:(fun _ probe ->
-      match probe with
+  Des.Mtrace.iter (Cluster.trace c) ~f:(fun e ->
+      match e.Des.Mtrace.ev with
       | Raft.Probe.Role_change { id; role = Raft.Types.Leader; term } ->
           (match Hashtbl.find_opt leaders_by_term term with
           | Some other when not (Netsim.Node_id.equal other id) ->
@@ -267,8 +267,8 @@ let test_fig6b_mechanism_end_to_end () =
   let term_before = Raft.Server.term (Raft.Node.server (Cluster.node c leader_before)) in
   Cluster.run_for c (Des.Time.sec 70);
   let aborts = ref 0 in
-  Des.Mtrace.iter (Cluster.trace c) ~f:(fun _ p ->
-      match p with Raft.Probe.Pre_vote_aborted _ -> incr aborts | _ -> ());
+  Des.Mtrace.iter (Cluster.trace c) ~f:(fun e ->
+      match e.Des.Mtrace.ev with Raft.Probe.Pre_vote_aborted _ -> incr aborts | _ -> ());
   Alcotest.(check bool) "false detections aborted" true (!aborts > 0);
   Alcotest.(check int) "leadership undisturbed"
     (Netsim.Node_id.to_int leader_before)

@@ -80,10 +80,19 @@ let test_probe_pp_total () =
         (String.length (asprintf "%a" Raft.Probe.pp p) > 2))
     [
       Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 3 };
-      Raft.Probe.Timeout_expired { id; term = 3; randomized = Time.ms 120 };
+      Raft.Probe.Timeout_expired
+        {
+          id;
+          term = 3;
+          randomized = Time.ms 120;
+          et = Time.ms 100;
+          h = Time.ms 50;
+          k = 1;
+        };
       Raft.Probe.Tuner_decision
         {
           id;
+          term = 3;
           rtt_ms = 99.4;
           rtt_std_ms = 1.2;
           loss = 0.01;
@@ -93,10 +102,12 @@ let test_probe_pp_total () =
           reason = Raft.Probe.Warmed;
         };
       Raft.Probe.Pre_vote_aborted { id; term = 3 };
-      Raft.Probe.Tuner_reset { id };
+      Raft.Probe.Tuner_reset { id; term = 3 };
       Raft.Probe.Election_started { id; term = 4 };
-      Raft.Probe.Node_paused { id };
-      Raft.Probe.Node_resumed { id };
+      Raft.Probe.Node_paused { id; term = 4 };
+      Raft.Probe.Node_resumed { id; term = 4 };
+      Raft.Probe.Vote_received
+        { id; term = 4; from = id; granted = true; pre = false };
     ]
 
 (* {2 Cost model} *)

@@ -66,7 +66,7 @@ let test_paused_node_stays_silent () =
   Des.Engine.run_until rig.engine (Time.sec 20);
   (* The paused node emitted no protocol probes: its timers are inert.
      (The fault-injection marker itself is expected.) *)
-  Des.Mtrace.iter rig.trace ~f:(fun _ probe ->
+  Des.Mtrace.iter rig.trace ~f:(fun { Des.Mtrace.ev = probe; _ } ->
       match probe with
       | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _ -> ()
       | _ ->

@@ -266,8 +266,8 @@ let test_tuner_rewarm_reason () =
       ~telemetry ()
   in
   let saw_reconfigured = ref false in
-  Des.Mtrace.subscribe (Cluster.trace c) (fun _t probe ->
-      match probe with
+  Des.Mtrace.subscribe (Cluster.trace c) (fun e ->
+      match e.Des.Mtrace.ev with
       | Raft.Probe.Tuner_decision { reason = Raft.Probe.Reconfigured; _ } ->
           saw_reconfigured := true
       | _ -> ());
