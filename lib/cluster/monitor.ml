@@ -42,13 +42,15 @@ let watch t ~every ~duration ~probes =
   let stop_at = Des.Time.add (Des.Engine.now engine) duration in
   let rec arm () =
     ignore
-      (Des.Engine.schedule_after engine every (fun () ->
+      (Des.Engine.schedule_after engine every Des.Engine.thunk
+         (fun () ->
            let now_sec = Des.Time.to_sec_f (Des.Engine.now engine) in
            List.iter
              (fun (p, ts) ->
                Stats.Timeseries.push ts ~time:now_sec ~value:(p.read t))
              series;
            if Des.Engine.now engine < stop_at then arm ())
+         () 0
         : Des.Engine.handle)
   in
   arm ();

@@ -1,5 +1,4 @@
 type handle = Event_heap.event
-type ('a, 'b) op = int
 
 type t = {
   mutable clock : Time.t;
@@ -10,9 +9,6 @@ type t = {
   queue : Event_heap.t;
   wheel : Wheel.t;
   rng : Stats.Rng.t;
-  mutable handlers : (Obj.t -> Obj.t -> int -> unit) array;
-  mutable n_handlers : int;
-  cached_ops : int array;  (* per-slot memoized op indices; -1 = unset *)
 }
 
 (* Events processed by every engine in the process, across domains.
@@ -28,9 +24,6 @@ let sync t =
   end
 
 let global_processed () = Atomic.get grand_total
-let no_handler (_ : Obj.t) (_ : Obj.t) (_ : int) = ()
-let slot_timer = 0
-let n_cached_slots = 8
 
 let create ?seed () =
   let queue = Event_heap.create () in
@@ -43,10 +36,6 @@ let create ?seed () =
     queue;
     wheel = Wheel.create queue;
     rng = Stats.Rng.create ?seed ();
-    handlers = Array.make 8 no_handler;
-    n_handlers = 1;
-    (* index 0 = closure dispatch *)
-    cached_ops = Array.make n_cached_slots (-1);
   }
 
 let set_post_hook t hook = t.post_hook <- hook
@@ -54,79 +43,33 @@ let now t = t.clock
 let rng t = t.rng
 let never = Event_heap.never
 
-(* The wrapper closure is built once per registration (engine lifetime),
-   never per schedule; [Obj.obj] is a no-op cast under the uniform value
-   representation, so dispatch costs one array load and one indirect
-   call. *)
-let register_op (type a b) t (f : a -> b -> int -> unit) : (a, b) op =
-  let g (pa : Obj.t) (pb : Obj.t) (arg : int) =
-    f (Obj.obj pa) (Obj.obj pb) arg
-  in
-  let i = t.n_handlers in
-  if i = Array.length t.handlers then begin
-    let h = Array.make (2 * i) no_handler in
-    Array.blit t.handlers 0 h 0 i;
-    t.handlers <- h
-  end;
-  t.handlers.(i) <- g;
-  t.n_handlers <- i + 1;
-  i
+let thunk f () (_ : int) = f ()
 
-let cached_op t ~slot f =
-  let v = t.cached_ops.(slot) in
-  if v >= 0 then v
-  else begin
-    let op = f () in
-    t.cached_ops.(slot) <- op;
-    op
-  end
+let[@inline] alloc t at f a b arg =
+  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq f a b arg in
+  t.seq <- t.seq + 1;
+  ev
 
-let schedule_at t at action =
+let schedule_at t at f a b arg =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %d is in the past (now %d)" at
          t.clock);
-  let ev = Event_heap.schedule t.queue ~at ~seq:t.seq action in
-  t.seq <- t.seq + 1;
+  let ev = alloc t at f a b arg in
+  Event_heap.push_event t.queue ev;
   ev
 
-let schedule_after t span action =
-  schedule_at t (Time.add t.clock (Time.max_span 0 span)) action
+let schedule_after t span f a b arg =
+  schedule_at t (Time.add t.clock (Time.max_span 0 span)) f a b arg
 
 (* Timer deadlines are overwhelmingly cancelled and re-armed before they
    come due (election resets, heartbeat re-arms), so they park in the
    timing wheel where cancellation is a free in-place drop.  One-shot
    work — message deliveries, CPU completions — nearly always fires and
-   would pay the wheel's flush bookkeeping for nothing, so the plain
+   would pay the wheel's flush bookkeeping for nothing, so
    [schedule_at]/[schedule_after] keep it on the heap. *)
-let schedule_timer_after t span action =
-  let at = Time.add t.clock (Time.max_span 0 span) in
-  let ev = Event_heap.make t.queue ~at ~seq:t.seq action in
-  t.seq <- t.seq + 1;
-  if not (Wheel.insert t.wheel ev) then Event_heap.push_event t.queue ev;
-  ev
-
-let[@inline] fill_op ev op a b arg =
-  ev.Event_heap.op <- op;
-  ev.Event_heap.a <- Obj.repr a;
-  ev.Event_heap.b <- Obj.repr b;
-  ev.Event_heap.arg <- arg
-
-let schedule_op_at t at op a b arg =
-  if at < t.clock then invalid_arg "Engine.schedule_op_at: past deadline";
-  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  fill_op ev op a b arg;
-  Event_heap.push_event t.queue ev
-
-let schedule_op_after t span op a b arg =
-  schedule_op_at t (Time.add t.clock (Time.max_span 0 span)) op a b arg
-
-let schedule_timer_op t span op a b arg =
-  let at = Time.add t.clock (Time.max_span 0 span) in
-  let ev = Event_heap.alloc t.queue ~at ~seq:t.seq in
-  t.seq <- t.seq + 1;
-  fill_op ev op a b arg;
+let schedule_timer t span f a b arg =
+  let ev = alloc t (Time.add t.clock (Time.max_span 0 span)) f a b arg in
   if not (Wheel.insert t.wheel ev) then Event_heap.push_event t.queue ev;
   ev
 
@@ -162,12 +105,12 @@ let[@hot] exec t ev =
   Event_heap.drop_top t.queue;
   t.clock <- ev.Event_heap.at;
   t.processed <- t.processed + 1;
-  let op = ev.Event_heap.op
+  let fn = ev.Event_heap.fn
   and a = ev.Event_heap.a
   and b = ev.Event_heap.b
   and arg = ev.Event_heap.arg in
   Event_heap.release t.queue ev;
-  if op = 0 then (Obj.obj a : unit -> unit) () else t.handlers.(op) a b arg;
+  fn a b arg;
   match t.post_hook with None -> () | Some f -> f ()
 
 let step t =

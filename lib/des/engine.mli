@@ -6,16 +6,15 @@
     The engine owns the root PRNG stream from which all components derive
     named substreams.
 
-    Two scheduling forms share one queue and one firing order:
-
-    - {b Closure form} ({!schedule_at} and friends): the traditional
-      [unit -> unit] callback.  Allocates the closure at the call site;
-      right for cold paths and one-off work.
-    - {b Opcode form} ({!register_op} + {!schedule_op_at} and friends):
-      the callback is a handler registered once per engine, and each
-      schedule passes it two operand words plus an immediate int.  After
-      the event pool warms up, scheduling allocates {e zero} minor
-      words — this is what the delivery and timer hot paths use. *)
+    Every event has one shape: a handler plus two operand values and an
+    immediate int, fired as [handler a b arg].  Pass a top-level handler
+    and values that already exist, and after the event pool warms up
+    scheduling allocates {e zero} minor words — this is what the
+    delivery and timer hot paths do.  Cold one-off work passes a closure
+    through {!thunk}.  The only routing choice is whether the deadline is
+    usually cancelled before it comes due: {!schedule_timer} parks it in
+    the timing wheel, {!schedule_at}/{!schedule_after} push it on the
+    heap.  All three return a cancellation handle. *)
 
 type t
 
@@ -34,59 +33,29 @@ val now : t -> Time.t
 val rng : t -> Stats.Rng.t
 (** Root PRNG stream; split it rather than drawing from it directly. *)
 
-val schedule_at : t -> Time.t -> (unit -> unit) -> handle
-(** Schedule a callback at an absolute instant.  Scheduling in the past
-    raises [Invalid_argument]. *)
+val schedule_at :
+  t -> Time.t -> ('a -> 'b -> int -> unit) -> 'a -> 'b -> int -> handle
+(** [schedule_at t at f a b arg] runs [f a b arg] at the absolute instant
+    [at].  Scheduling in the past raises [Invalid_argument]. *)
 
-val schedule_after : t -> Time.span -> (unit -> unit) -> handle
+val schedule_after :
+  t -> Time.span -> ('a -> 'b -> int -> unit) -> 'a -> 'b -> int -> handle
 (** Schedule after a relative delay (clamped to be non-negative). *)
 
-val schedule_timer_after : t -> Time.span -> (unit -> unit) -> handle
+val schedule_timer :
+  t -> Time.span -> ('a -> 'b -> int -> unit) -> 'a -> 'b -> int -> handle
 (** Like {!schedule_after}, but for deadlines that are likely to be
     cancelled before coming due (timer re-arm churn): the event parks in
     the timing wheel, where cancellation drops it in place — no heap
     push, sift, or tombstone.  Firing order and semantics are identical
     to {!schedule_after}; one-shot work that nearly always fires should
-    keep using the plain entry points, which skip the wheel's flush
+    keep using the heap entry points, which skip the wheel's flush
     bookkeeping. *)
 
-type ('a, 'b) op
-(** A handler-table index for the opcode scheduling form: the handler
-    receives the two operand values and the immediate int passed at
-    schedule time.  Ops are engine-specific — registering on one engine
-    and scheduling on another is unchecked and wrong. *)
-
-val register_op : t -> ('a -> 'b -> int -> unit) -> ('a, 'b) op
-(** Register a dispatch handler, once per engine (typically at component
-    creation).  The per-schedule cost of the returned op is two operand
-    stores and an int store — no closure. *)
-
-val cached_op : t -> slot:int -> (unit -> ('a, 'b) op) -> ('a, 'b) op
-(** Memoize an op registration in one of a small number of per-engine
-    slots, for components (like {!Timer}) that are instantiated many
-    times per engine but need only one shared handler.  The slot
-    registry is a fixed convention: slot {!slot_timer} belongs to
-    {!Timer}; slots above it are unassigned.  The thunk runs on first
-    use only.  Callers must ensure a slot is always used at one type —
-    the memoization is untyped. *)
-
-val slot_timer : int
-(** {!cached_op} slot owned by {!Timer}'s shared fire handler. *)
-
-val n_cached_slots : int
-(** Number of {!cached_op} slots ([slot] must be below this). *)
-
-val schedule_op_at : t -> Time.t -> ('a, 'b) op -> 'a -> 'b -> int -> unit
-(** Opcode form of {!schedule_at}: fire [op]'s handler with the given
-    operands.  Returns no handle (the common case never cancels);
-    allocation-free once the event pool is warm. *)
-
-val schedule_op_after : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> unit
-(** Opcode form of {!schedule_after}. *)
-
-val schedule_timer_op : t -> Time.span -> ('a, 'b) op -> 'a -> 'b -> int -> handle
-(** Opcode form of {!schedule_timer_after}; returns a handle because
-    timer deadlines are routinely cancelled. *)
+val thunk : (unit -> unit) -> unit -> int -> unit
+(** [thunk f () _ = f ()]: the handler for closure-carrying events, as in
+    [schedule_after t span thunk f () 0].  The caller allocates [f], so
+    keep this to cold paths. *)
 
 val cancel : handle -> unit
 (** Cancel a scheduled event; cancelling a fired or already-cancelled

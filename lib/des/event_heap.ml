@@ -9,18 +9,17 @@ type stats = {
   mutable wheel_high_water : int;
 }
 
-(* Flattened, pooled event record.  The payload is an int-encoded opcode
-   plus two uniform operand words and one immediate word, interpreted by
-   the engine's handler table ([op] = 0 means [a] holds a plain
-   [unit -> unit] closure).  All fields are mutable so fired and
-   cancelled events can be recycled through a per-heap free list instead
-   of being re-allocated: on the steady-state replication workload every
-   event alloc after warm-up is a free-list pop, so scheduling allocates
-   zero minor words. *)
+(* Flattened, pooled event record.  The payload is the handler itself
+   plus two uniform operand words and one immediate word; firing is
+   [fn a b arg].  All fields are mutable so fired and cancelled events
+   can be recycled through a per-heap free list instead of being
+   re-allocated: on the steady-state replication workload every event
+   alloc after warm-up is a free-list pop, so scheduling allocates zero
+   minor words. *)
 type event = {
   mutable at : Time.t;
   mutable seq : int;
-  mutable op : int;
+  mutable fn : Obj.t -> Obj.t -> int -> unit;
   mutable a : Obj.t;
   mutable b : Obj.t;
   mutable arg : int;
@@ -49,8 +48,6 @@ let fresh_stats () =
     wheel_high_water = 0;
   }
 
-let unit_obj = Obj.repr ()
-
 (* A permanently-cancelled placeholder: lets handle holders (timers) use
    a plain [event] field instead of an [event option], and terminates
    both wheel-slot chains and the free list.  Cancelling it is a no-op
@@ -61,9 +58,9 @@ let never =
     {
       at = 0;
       seq = -1;
-      op = 0;
-      a = unit_obj;
-      b = unit_obj;
+      fn = (fun _ _ _ -> ());
+      a = Obj.repr ();
+      b = Obj.repr ();
       arg = 0;
       cancelled = true;
       queued = false;
@@ -74,25 +71,29 @@ let never =
   ev
 
 let create () = { data = [||]; len = 0; stats = fresh_stats (); free = never }
-let length t = t.len
 let live_length t = t.len - t.stats.dead
 let stats t = t.stats
 let compact_min_dead = 64
 
-(* Pop a recycled event, or allocate a fresh one if the pool is dry.
-   The caller overwrites [op]/[a]/[b]/[arg]; a pooled event may pin its
-   previous payload until then, which is bounded by the pool size. *)
-let alloc t ~at ~seq =
+(* Pop a recycled event, or allocate a fresh one if the pool is dry,
+   and fill in its payload.  The handler and operands are stored as
+   uniform words: [Obj.obj] on the handler is a no-op cast under the
+   uniform value representation, and [fn a b arg] at fire time applies
+   it to exactly the values it was given here.  A released event pins
+   its last payload until reused, which is bounded by the pool size. *)
+let[@inline] alloc t ~at ~seq (f : 'a -> 'b -> int -> unit) (a : 'a) (b : 'b)
+    arg =
+  let fn : Obj.t -> Obj.t -> int -> unit = Obj.obj (Obj.repr f) in
   let ev = t.free in
   if ev == never then
     let rec ev =
       {
         at;
         seq;
-        op = 0;
-        a = unit_obj;
-        b = unit_obj;
-        arg = 0;
+        fn;
+        a = Obj.repr a;
+        b = Obj.repr b;
+        arg;
         cancelled = false;
         queued = false;
         w_next = ev;
@@ -105,6 +106,10 @@ let alloc t ~at ~seq =
     ev.w_next <- ev;
     ev.at <- at;
     ev.seq <- seq;
+    ev.fn <- fn;
+    ev.a <- Obj.repr a;
+    ev.b <- Obj.repr b;
+    ev.arg <- arg;
     ev.cancelled <- false;
     ev
   end
@@ -189,28 +194,10 @@ let compact t =
     sift_down t i
   done
 
-let make t ~at ~seq action =
-  let ev = alloc t ~at ~seq in
-  ev.op <- 0;
-  ev.a <- Obj.repr action;
-  ev.b <- unit_obj;
-  ev
-
 let push_event t ev =
   if t.stats.dead > compact_min_dead && 2 * t.stats.dead > t.len then compact t;
   ev.queued <- true;
   push t ev
-
-let schedule t ~at ~seq action =
-  let ev = make t ~at ~seq action in
-  push_event t ev;
-  ev
-
-(* For direct heap users (tests, microbenchmarks) that execute events
-   themselves: run a closure-form event's payload. *)
-let run_closure ev =
-  if ev.op = 0 then (Obj.obj ev.a : unit -> unit) ()
-  else invalid_arg "Event_heap.run_closure: opcode event"
 
 let cancel ev =
   if not ev.cancelled then begin
@@ -251,8 +238,7 @@ let rec pop_live t =
   | some -> some
 
 (* Allocation-free peek for the engine's hot loop: [never] means empty.
-   Like [peek_live], discards (and recycles) cancelled entries from the
-   top. *)
+   Discards (and recycles) cancelled entries from the top. *)
 let rec top_live t =
   if t.len = 0 then never
   else begin
@@ -276,16 +262,3 @@ let drop_top t =
     sift_down t 0
   end;
   top.queued <- false
-
-let rec peek_live t =
-  if t.len = 0 then None
-  else begin
-    let top = t.data.(0) in
-    if top.cancelled then begin
-      ignore (pop t : event option);
-      t.stats.dead <- t.stats.dead - 1;
-      release t top;
-      peek_live t
-    end
-    else Some top
-  end

@@ -7,12 +7,12 @@
     campaign).
 
     Events are {e flattened} and {e pooled}: instead of a
-    [unit -> unit] closure per schedule, an event carries an int opcode
-    plus two uniform operand words and one immediate word, dispatched
-    through the engine's handler table ([op] = 0 keeps the closure form,
-    stored in [a]).  Fired and discarded events return to a per-heap
-    free list ({!release}) and are recycled by {!alloc}, so steady-state
-    scheduling allocates zero minor words.
+    [unit -> unit] closure per schedule, an event carries its handler
+    plus two uniform operand words and one immediate word, and firing it
+    is [fn a b arg] — one event shape, one dispatch.  Fired and
+    discarded events return to a per-heap free list ({!release}) and are
+    recycled by {!alloc}, so steady-state scheduling allocates zero
+    minor words.
 
     Cancellation is lazy — [cancel] only marks the event — but the heap
     counts its dead entries and compacts itself once they pass a
@@ -49,8 +49,8 @@ type stats = {
 type event = {
   mutable at : Time.t;
   mutable seq : int;  (** tie-break: strictly increasing scheduling order *)
-  mutable op : int;
-      (** handler-table index; 0 = [a] holds a [unit -> unit] closure *)
+  mutable fn : Obj.t -> Obj.t -> int -> unit;
+      (** the handler, applied as [fn a b arg] when the event fires *)
   mutable a : Obj.t;  (** first operand word (uniform representation) *)
   mutable b : Obj.t;  (** second operand word *)
   mutable arg : int;  (** immediate operand (packed ints, cause IDs) *)
@@ -63,8 +63,8 @@ type event = {
 }
 (** The record is exposed (not private) so {!Wheel} can link events into
     its slots and {!Engine} can dispatch without an indirection layer;
-    outside [lib/des], treat it as an abstract handle and only construct
-    via {!make}/{!schedule}. *)
+    outside [lib/des], treat it as an abstract handle, construct it only
+    via {!alloc}, and fire it only as [ev.fn ev.a ev.b ev.arg]. *)
 
 type t
 
@@ -75,10 +75,15 @@ val never : event
     fields that would otherwise be [event option].  {!cancel} and
     {!is_pending} treat it as already fired; it is never stored. *)
 
-val alloc : t -> at:Time.t -> seq:int -> event
-(** Pop a recycled event from the free list (or allocate a fresh one),
-    live and unqueued.  The caller must set [op]/[a]/[b]/[arg] before
-    the event fires. *)
+val alloc :
+  t -> at:Time.t -> seq:int -> ('a -> 'b -> int -> unit) -> 'a -> 'b -> int ->
+  event
+(** [alloc t ~at ~seq f a b arg] pops a recycled event from the free
+    list (or allocates a fresh one), live and unqueued, whose firing
+    runs [f a b arg].  The caller either parks it in a wheel slot or
+    hands it to {!push_event}.  Allocation-free once the pool is warm:
+    pass a top-level (or otherwise pre-built) handler and values that
+    already exist, and nothing is allocated per call. *)
 
 val release : t -> event -> unit
 (** Return an event to the free list for reuse.  The caller must have
@@ -86,23 +91,9 @@ val release : t -> event -> unit
     execution, the heap at tombstone discard, the wheel at slot visit.
     Releasing {!never} is a no-op. *)
 
-val make : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
-(** {!alloc} an event carrying a closure payload ([op] = 0) {e without}
-    queueing it — the caller either parks it in a wheel slot or hands it
-    to {!push_event}. *)
-
 val push_event : t -> event -> unit
-(** Push an event obtained from {!make}/{!alloc} (or one the wheel is
-    flushing back).  May trigger compaction first. *)
-
-val schedule : t -> at:Time.t -> seq:int -> (unit -> unit) -> event
-(** [make] + [push_event]. *)
-
-val run_closure : event -> unit
-(** Execute a closure-form event's payload ([op] = 0) — for direct heap
-    users (tests, microbenchmarks) that drive the queue themselves.
-    Raises [Invalid_argument] on an opcode event: those belong to an
-    engine's handler table. *)
+(** Push an event obtained from {!alloc} (or one the wheel is flushing
+    back).  May trigger compaction first. *)
 
 val cancel : event -> unit
 (** Mark the event dead; it will be skipped and eventually reclaimed.
@@ -119,20 +110,14 @@ val pop_live : t -> event option
     {e not} released — callers outside the engine own it (and may simply
     drop it; unreleased events are garbage-collected normally). *)
 
-val peek_live : t -> event option
-(** Earliest non-cancelled event without removing it; discards cancelled
-    entries from the top as a side effect. *)
-
 val top_live : t -> event
-(** Allocation-free {!peek_live}: returns {!never} when empty.  The
-    engine's hot loop uses this to avoid boxing an option per event. *)
+(** Earliest non-cancelled event without removing it, or {!never} when
+    empty; discards cancelled entries from the top as a side effect.
+    Allocation-free: the engine's hot loop calls it per event. *)
 
 val drop_top : t -> unit
 (** Remove the top event.  Only call immediately after {!top_live}
     returned it (the top must be live). *)
-
-val length : t -> int
-(** Entries currently stored, including cancelled ones. *)
 
 val live_length : t -> int
 (** Entries that are still scheduled to fire. *)

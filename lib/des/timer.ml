@@ -1,9 +1,9 @@
-(* One shared fire handler per engine, not one closure per timer (let
-   alone per arming): the heartbeat/election workload re-arms timers on
-   every message, and with the engine's opcode scheduling form an arm is
-   a pooled-event fill — zero minor words.  The generation counter
-   stayed gone — [cancel] marks the underlying event, and the engine
-   guarantees a cancelled event never fires, which is the whole
+(* One top-level fire handler, not one closure per timer (let alone per
+   arming): the heartbeat/election workload re-arms timers on every
+   message, and an arm passes [fire] and the timer itself as the
+   event's handler and operand — a pooled-event fill, zero minor words.
+   No generation counter: [cancel] marks the underlying event, and the
+   engine guarantees a cancelled event never fires, which is the whole
    stale-fire guard.  Pool safety: [fire] clears [pending] before
    running the callback, and [disarm]/[arm] clear-or-replace it, so this
    module never holds a handle whose event could have been recycled. *)
@@ -11,7 +11,6 @@
 type t = {
   engine : Engine.t;
   callback : unit -> unit;
-  op : (t, unit) Engine.op;  (* engine-shared fire handler *)
   mutable pending : Engine.handle;  (* Engine.never when disarmed/fired *)
   mutable deadline : Time.t;  (* meaningful while armed *)
   mutable last_span : Time.span;  (* meaningful once ever_armed *)
@@ -23,14 +22,9 @@ let fire (t : t) () (_ : int) =
   t.callback ()
 
 let create engine callback =
-  let op =
-    Engine.cached_op engine ~slot:Engine.slot_timer (fun () ->
-        Engine.register_op engine fire)
-  in
   {
     engine;
     callback;
-    op;
     pending = Engine.never;
     deadline = Time.zero;
     last_span = 0;
@@ -46,7 +40,7 @@ let arm t span =
   t.ever_armed <- true;
   t.last_span <- span;
   t.deadline <- Time.add (Engine.now t.engine) span;
-  t.pending <- Engine.schedule_timer_op t.engine span t.op t () 0
+  t.pending <- Engine.schedule_timer t.engine span fire t () 0
 
 let is_armed t = Engine.is_pending t.pending
 let deadline t = if is_armed t then Some t.deadline else None

@@ -4,8 +4,8 @@
     heartbeat, fires at most once per arming, and can be disarmed.
     Re-arming cancels the previous deadline's event (the engine never
     fires a cancelled event, so no stale callback can slip through),
-    and the arm path allocates nothing beyond the engine's own event
-    record — the fire closure is built once per timer. *)
+    and once the engine's event pool is warm the arm path allocates
+    nothing: every timer shares one top-level fire handler. *)
 
 type t
 

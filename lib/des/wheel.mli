@@ -20,7 +20,7 @@ val create : Event_heap.t -> t
     given heap. *)
 
 val insert : t -> Event_heap.event -> bool
-(** Park an event made by {!Event_heap.make}.  [false] means the
+(** Park an event made by {!Event_heap.alloc}.  [false] means the
     deadline is outside the wheel's range (behind the cursor or beyond
     level 2) and the caller must {!Event_heap.push_event} it instead. *)
 

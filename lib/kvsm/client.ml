@@ -88,7 +88,9 @@ let issue t =
         | Some route, Some next when hops < t.max_redirects ->
             ignore
               (Des.Engine.schedule_after t.engine t.redirect_backoff
+                 Des.Engine.thunk
                  (fun () -> attempt ~via:(route next) ~hops:(hops + 1))
+                 () 0
                 : Des.Engine.handle)
         | _ -> t.abandoned <- t.abandoned + 1)
   in
@@ -97,11 +99,13 @@ let issue t =
 let rec schedule_next t =
   let gap = Stats.Dist.exponential t.rng ~rate:t.rate in
   ignore
-    (Des.Engine.schedule_after t.engine (Des.Time.of_sec_f gap) (fun () ->
+    (Des.Engine.schedule_after t.engine (Des.Time.of_sec_f gap) Des.Engine.thunk
+       (fun () ->
          if t.running then begin
            issue t;
            schedule_next t
          end)
+       () 0
       : Des.Engine.handle)
 
 let start t =

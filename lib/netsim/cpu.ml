@@ -75,7 +75,8 @@ let execute t ~cost k =
   else
     let finish = enqueue t ~cost in
     ignore
-      (Des.Engine.schedule_at t.engine finish k : Des.Engine.handle)
+      (Des.Engine.schedule_at t.engine finish Des.Engine.thunk k () 0
+        : Des.Engine.handle)
 
 let charge t ~cost = if not t.passthrough then ignore (enqueue t ~cost : int)
 

@@ -44,10 +44,6 @@ type 'msg t = {
   egresses : (int, 'msg egress) Hashtbl.t;
   serialization : (int, Des.Time.span) Hashtbl.t;
   ports : 'msg port Itab.t;
-  deliver_op : ('msg port, 'msg) Des.Engine.op;
-      (* engine handler delivering [msg] through a port; the schedule's
-         int operand carries the causal token, so a delivery event
-         allocates nothing *)
   mutable default_serialization : Des.Time.span;  (* 0 = wire never busy *)
   mutable default_conditions : Conditions.t;
   mutable groups : int Node_id.Table.t option;  (* node -> partition group *)
@@ -100,9 +96,9 @@ let[@inline] deliver_port t port msg =
         t.delivered <- t.delivered + 1;
         handler ~src:port.pt_src msg
 
-(* The engine-table delivery handler ([cause = 0] is the untracked
-   case); registered once per fabric, scheduled per message with zero
-   allocation. *)
+(* The delivery event's handler: the port and message are its operands
+   and the int carries the causal token ([cause = 0] is the untracked
+   case), so scheduling a delivery allocates nothing. *)
 let dispatch_deliver port msg cause =
   let t = port.pt_fabric in
   if cause = 0 then deliver_port t port msg
@@ -113,7 +109,6 @@ let dispatch_deliver port msg cause =
   end
 
 let create engine =
-  let deliver_op = Des.Engine.register_op engine dispatch_deliver in
   {
     engine;
     rng = Stats.Rng.split (Des.Engine.rng engine) "fabric";
@@ -124,7 +119,6 @@ let create engine =
     egresses = Hashtbl.create 64;
     serialization = Hashtbl.create 64;
     ports = Itab.create 64;
-    deliver_op;
     default_serialization = 0;
     default_conditions = Conditions.(constant (profile ~rtt_ms:0. ()));
     groups = None;
@@ -362,7 +356,7 @@ let set_uniform_serialization t span =
     t.node_order
 
 (* Put one message on the (now free) wire: sample the link model and
-   schedule the delivery through the engine's handler table.  This is
+   schedule its delivery with [dispatch_deliver] as the handler.  This is
    the entire send path when no serialization delay is configured, and
    the wire-free continuation when one is.  Allocation-free for
    datagrams (the dominant kind): packed link sample, pooled event,
@@ -379,19 +373,25 @@ let[@hot] transmit_port t p kind ~cause msg =
       if d1 < 0 then t.lost <- t.lost + 1
       else begin
         let d2 = Link.dup_latency p.pt_link in
-        Des.Engine.schedule_op_after t.engine (d1 + extra) t.deliver_op p msg
-          cause;
+        ignore
+          (Des.Engine.schedule_after t.engine (d1 + extra) dispatch_deliver p
+             msg cause
+            : Des.Engine.handle);
         if d2 >= 0 then begin
           t.duplicated <- t.duplicated + 1;
-          Des.Engine.schedule_op_after t.engine (d2 + extra) t.deliver_op p
-            (t.dup_clone msg) cause
+          ignore
+            (Des.Engine.schedule_after t.engine (d2 + extra) dispatch_deliver p
+               (t.dup_clone msg) cause
+              : Des.Engine.handle)
         end
       end
   | Transport.Reliable ->
       let latency = Link.sample_reliable p.pt_link + extra in
       let now = Des.Engine.now t.engine in
       let at = Transport.Channel.delivery_time p.pt_channel ~now ~latency in
-      Des.Engine.schedule_op_at t.engine at t.deliver_op p msg cause
+      ignore
+        (Des.Engine.schedule_at t.engine at dispatch_deliver p msg cause
+          : Des.Engine.handle)
 
 let egress_depth eg =
   Queue.length eg.eg_urgent + Queue.length eg.eg_bulk
@@ -400,23 +400,27 @@ let egress_depth eg =
 (* Drain the egress: urgent lane first, then bulk, FIFO within each —
    deterministic because sends on one link happen in engine sequence
    order.  Each message occupies the wire for [units x serialization]
-   before the link's propagation model takes over. *)
+   before the link's propagation model takes over.  The wire-done event
+   carries the port and the already-queued item as its operands, so a
+   serialized message allocates no continuation. *)
 let[@hot] rec pump t p eg =
-  let next =
-    if not (Queue.is_empty eg.eg_urgent) then Some (Queue.pop eg.eg_urgent)
-    else if not (Queue.is_empty eg.eg_bulk) then Some (Queue.pop eg.eg_bulk)
-    else None
-  in
-  match next with
-  | None -> eg.busy <- false
-  | Some (kind, units, cause, msg) ->
-      eg.busy <- true;
-      let wire = units * p.pt_serialization in
-      ignore
-        (Des.Engine.schedule_after t.engine wire (fun () ->
-             transmit_port t p kind ~cause msg;
-             pump t p eg)
-          : Des.Engine.handle)
+  let lane = if Queue.is_empty eg.eg_urgent then eg.eg_bulk else eg.eg_urgent in
+  if Queue.is_empty lane then eg.busy <- false
+  else begin
+    let ((_, units, _, _) as item) = Queue.pop lane in
+    eg.busy <- true;
+    ignore
+      (Des.Engine.schedule_after t.engine (units * p.pt_serialization)
+         wire_done p item 0
+        : Des.Engine.handle)
+  end
+
+(* The port's egress is set once, before its first [pump], and never
+   replaced, so it is the [eg] this message was popped from. *)
+and[@hot] wire_done p (kind, _, cause, msg) (_ : int) =
+  let t = p.pt_fabric in
+  transmit_port t p kind ~cause msg;
+  match p.pt_egress with Some eg -> pump t p eg | None -> ()
 
 (* Route one message through a resolved port: free wire -> transmit now;
    serialized wire -> queue on the egress. *)

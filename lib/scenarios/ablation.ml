@@ -36,11 +36,13 @@ let sampled_mean cluster ~duration ~read =
   let stop_at = Des.Time.add (Des.Engine.now engine) duration in
   let rec arm () =
     ignore
-      (Des.Engine.schedule_after engine (Des.Time.sec 1) (fun () ->
+      (Des.Engine.schedule_after engine (Des.Time.sec 1) Des.Engine.thunk
+         (fun () ->
            (match read cluster with
            | Some v -> Stats.Welford.add w v
            | None -> ());
            if Des.Engine.now engine < stop_at then arm ())
+         () 0
         : Des.Engine.handle)
   in
   arm ();
@@ -315,11 +317,13 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
       let stop_at = Des.Time.add from (Des.Time.sec 100) in
       let rec arm () =
         ignore
-          (Des.Engine.schedule_after engine (Des.Time.sec 1) (fun () ->
+          (Des.Engine.schedule_after engine (Des.Time.sec 1) Des.Engine.thunk
+             (fun () ->
                (match tuned_follower_et cluster with
                | Some v -> Stats.Welford.add et v
                | None -> ());
                if Des.Engine.now engine < stop_at then arm ())
+             () 0
             : Des.Engine.handle)
       in
       arm ();

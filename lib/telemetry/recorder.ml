@@ -33,9 +33,12 @@ let attach t engine sample =
         :: t.ticks;
       t.count <- t.count + 1;
       ignore
-        (Des.Engine.schedule_after engine t.every fire : Des.Engine.handle)
+        (Des.Engine.schedule_after engine t.every Des.Engine.thunk fire () 0
+          : Des.Engine.handle)
     in
-    ignore (Des.Engine.schedule_after engine t.every fire : Des.Engine.handle)
+    ignore
+      (Des.Engine.schedule_after engine t.every Des.Engine.thunk fire () 0
+        : Des.Engine.handle)
   end
 
 let samples t = t.count

@@ -29,9 +29,9 @@ let test_engine_ordering () =
   let e = Engine.create () in
   let order = ref [] in
   let log tag () = order := tag :: !order in
-  ignore (Engine.schedule_at e (Time.ms 30) (log "c"));
-  ignore (Engine.schedule_at e (Time.ms 10) (log "a"));
-  ignore (Engine.schedule_at e (Time.ms 20) (log "b"));
+  ignore (Engine.schedule_at e (Time.ms 30) Engine.thunk (log "c") () 0);
+  ignore (Engine.schedule_at e (Time.ms 10) Engine.thunk (log "a") () 0);
+  ignore (Engine.schedule_at e (Time.ms 20) Engine.thunk (log "b") () 0);
   Engine.run e;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ]
     (List.rev !order)
@@ -41,7 +41,9 @@ let test_engine_fifo_ties () =
   let order = ref [] in
   for i = 1 to 5 do
     ignore
-      (Engine.schedule_at e (Time.ms 10) (fun () -> order := i :: !order))
+      (Engine.schedule_at e (Time.ms 10) Engine.thunk
+         (fun () -> order := i :: !order)
+         () 0)
   done;
   Engine.run e;
   Alcotest.(check (list int)) "scheduling order on ties" [ 1; 2; 3; 4; 5 ]
@@ -50,14 +52,19 @@ let test_engine_fifo_ties () =
 let test_engine_clock_advances () =
   let e = Engine.create () in
   let seen = ref Time.zero in
-  ignore (Engine.schedule_at e (Time.ms 42) (fun () -> seen := Engine.now e));
+  ignore
+    (Engine.schedule_at e (Time.ms 42) Engine.thunk
+       (fun () -> seen := Engine.now e)
+       () 0);
   Engine.run e;
   Alcotest.(check int) "clock at event time" (Time.ms 42) !seen
 
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule_at e (Time.ms 5) (fun () -> fired := true) in
+  let h =
+    Engine.schedule_at e (Time.ms 5) Engine.thunk (fun () -> fired := true) () 0
+  in
   Engine.cancel h;
   Engine.run e;
   Alcotest.(check bool) "cancelled event does not fire" false !fired
@@ -65,8 +72,9 @@ let test_engine_cancel () =
 let test_engine_run_until_boundary () =
   let e = Engine.create () in
   let fired = ref [] in
-  ignore (Engine.schedule_at e (Time.ms 10) (fun () -> fired := 10 :: !fired));
-  ignore (Engine.schedule_at e (Time.ms 20) (fun () -> fired := 20 :: !fired));
+  let log v () = fired := v :: !fired in
+  ignore (Engine.schedule_at e (Time.ms 10) Engine.thunk (log 10) () 0);
+  ignore (Engine.schedule_at e (Time.ms 20) Engine.thunk (log 20) () 0);
   Engine.run_until e (Time.ms 15);
   Alcotest.(check (list int)) "only events <= limit" [ 10 ] !fired;
   Alcotest.(check int) "clock set to limit" (Time.ms 15) (Engine.now e);
@@ -78,8 +86,11 @@ let test_engine_run_until_cancelled_head () =
      the limit to run. *)
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule_at e (Time.ms 5) (fun () -> ()) in
-  ignore (Engine.schedule_at e (Time.ms 50) (fun () -> fired := true));
+  let h = Engine.schedule_at e (Time.ms 5) Engine.thunk (fun () -> ()) () 0 in
+  ignore
+    (Engine.schedule_at e (Time.ms 50) Engine.thunk
+       (fun () -> fired := true)
+       () 0);
   Engine.cancel h;
   Engine.run_until e (Time.ms 10);
   Alcotest.(check bool) "beyond-limit event did not run" false !fired
@@ -88,26 +99,105 @@ let test_engine_schedule_during_run () =
   let e = Engine.create () in
   let result = ref 0 in
   ignore
-    (Engine.schedule_at e (Time.ms 1) (fun () ->
+    (Engine.schedule_at e (Time.ms 1) Engine.thunk
+       (fun () ->
          ignore
-           (Engine.schedule_after e (Time.ms 1) (fun () -> result := 42))));
+           (Engine.schedule_after e (Time.ms 1) Engine.thunk
+              (fun () -> result := 42)
+              () 0))
+       () 0);
   Engine.run e;
   Alcotest.(check int) "nested scheduling runs" 42 !result
 
 let test_engine_past_rejected () =
   let e = Engine.create () in
-  ignore (Engine.schedule_at e (Time.ms 10) (fun () -> ()));
+  ignore (Engine.schedule_at e (Time.ms 10) Engine.thunk (fun () -> ()) () 0);
   Engine.run e;
   Alcotest.(check bool) "scheduling in the past raises" true
     (try
-       ignore (Engine.schedule_at e (Time.ms 5) (fun () -> ()));
+       ignore
+         (Engine.schedule_at e (Time.ms 5) Engine.thunk (fun () -> ()) () 0);
        false
      with Invalid_argument _ -> true)
+
+(* Every path into the queue takes the same [(at, seq)] order: same-instant
+   events fire in scheduling order whether they went through the heap
+   ([schedule_at]/[schedule_after]), the timing wheel ([schedule_timer])
+   or carry a closure through [thunk]. *)
+let test_engine_one_order_across_paths () =
+  let e = Engine.create () in
+  let order = ref [] in
+  let record tag () (_ : int) = order := tag :: !order in
+  let at = Time.ms 10 in
+  ignore (Engine.schedule_timer e at record "timer1" () 0 : Engine.handle);
+  ignore (Engine.schedule_at e at record "heap1" () 0 : Engine.handle);
+  ignore
+    (Engine.schedule_at e at Engine.thunk
+       (fun () -> order := "thunk" :: !order)
+       () 0
+      : Engine.handle);
+  ignore (Engine.schedule_timer e at record "timer2" () 0 : Engine.handle);
+  ignore (Engine.schedule_after e at record "heap2" () 0 : Engine.handle);
+  Alcotest.(check int) "timers parked in the wheel" 2
+    (Engine.stats e).Engine.wheel_occupancy;
+  Engine.run e;
+  Alcotest.(check (list string)) "scheduling order"
+    [ "timer1"; "heap1"; "thunk"; "timer2"; "heap2" ]
+    (List.rev !order)
+
+type operand = { label : string }
+
+let test_engine_handler_operands () =
+  let e = Engine.create () in
+  let got = ref [] in
+  let handler (a : operand) (b : float) arg = got := (a, b, arg) :: !got in
+  let x = { label = "x" } and y = { label = "y" } in
+  ignore (Engine.schedule_after e (Time.ms 1) handler x 2.5 max_int);
+  ignore (Engine.schedule_timer e (Time.ms 2) handler y (-0.) (-7));
+  Engine.run e;
+  match List.rev !got with
+  | [ (a1, b1, n1); (a2, b2, n2) ] ->
+      Alcotest.(check bool) "heap: first operand is the same value" true
+        (a1 == x);
+      Alcotest.(check (float 0.)) "heap: second operand" 2.5 b1;
+      Alcotest.(check int) "heap: int operand" max_int n1;
+      Alcotest.(check bool) "wheel: first operand is the same value" true
+        (a2 == y);
+      Alcotest.(check bool) "wheel: second operand keeps its sign" true
+        (Float.sign_bit b2);
+      Alcotest.(check int) "wheel: int operand" (-7) n2
+  | l -> Alcotest.failf "expected 2 firings, got %d" (List.length l)
+
+(* Only an absolute deadline can be in the past, and it is refused with
+   one message whatever the handler; relative spans clamp to now. *)
+let test_engine_past_message () =
+  let e = Engine.create () in
+  Engine.run_until e (Time.ms 10);
+  let message f =
+    match f () with
+    | (_ : Engine.handle) -> "accepted"
+    | exception Invalid_argument m -> m
+  in
+  let expected = "Engine.schedule_at: 5000000 is in the past (now 10000000)" in
+  Alcotest.(check string) "plain handler" expected
+    (message (fun () ->
+         Engine.schedule_at e (Time.ms 5) (fun () () _ -> ()) () () 0));
+  Alcotest.(check string) "thunk" expected
+    (message (fun () ->
+         Engine.schedule_at e (Time.ms 5) Engine.thunk ignore () 0));
+  let fired = ref [] in
+  let record tag () _ = fired := (tag, Engine.now e) :: !fired in
+  ignore (Engine.schedule_after e (Time.ms (-1)) record "after" () 0);
+  ignore (Engine.schedule_timer e (Time.ms (-1)) record "timer" () 0);
+  Engine.run e;
+  Alcotest.(check (list (pair string int))) "negative spans fire now"
+    [ ("after", Time.ms 10); ("timer", Time.ms 10) ]
+    (List.rev !fired)
 
 let test_engine_counters () =
   let e = Engine.create () in
   for i = 1 to 5 do
-    ignore (Engine.schedule_at e (Time.ms i) (fun () -> ()))
+    ignore (Engine.schedule_at e (Time.ms i) Engine.thunk (fun () -> ()) () 0)
   done;
   Alcotest.(check int) "pending" 5 (Engine.pending_events e);
   Engine.run e;
@@ -134,7 +224,9 @@ let test_timer_rearm_cancels_previous () =
   t := Some timer;
   Timer.arm timer (Time.ms 10);
   ignore
-    (Engine.schedule_at e (Time.ms 5) (fun () -> Timer.arm timer (Time.ms 10)));
+    (Engine.schedule_at e (Time.ms 5) Engine.thunk
+       (fun () -> Timer.arm timer (Time.ms 10))
+       () 0);
   Engine.run e;
   Alcotest.(check (list int)) "fires only at re-armed deadline" [ Time.ms 15 ]
     !fired_at
@@ -154,10 +246,12 @@ let test_timer_remaining () =
   let t = Timer.create e (fun () -> ()) in
   Timer.arm t (Time.ms 100);
   ignore
-    (Engine.schedule_at e (Time.ms 40) (fun () ->
+    (Engine.schedule_at e (Time.ms 40) Engine.thunk
+       (fun () ->
          match Timer.remaining t with
          | Some r -> Alcotest.(check int) "remaining" (Time.ms 60) r
-         | None -> Alcotest.fail "expected armed timer"));
+         | None -> Alcotest.fail "expected armed timer")
+       () 0);
   Engine.run_until e (Time.ms 50);
   Timer.disarm t
 
@@ -198,11 +292,13 @@ let test_mtrace_records_time () =
   let seen = ref [] in
   Mtrace.subscribe trace (fun en -> seen := stamps en :: !seen);
   ignore
-    (Engine.schedule_at e (Time.ms 5) (fun () ->
-         Mtrace.emit trace ~cause:7 ~parent:3 "a"));
+    (Engine.schedule_at e (Time.ms 5) Engine.thunk
+       (fun () -> Mtrace.emit trace ~cause:7 ~parent:3 "a")
+       () 0);
   ignore
-    (Engine.schedule_at e (Time.ms 9) (fun () ->
-         Mtrace.emit trace ~cause:8 ~parent:0 "b"));
+    (Engine.schedule_at e (Time.ms 9) Engine.thunk
+       (fun () -> Mtrace.emit trace ~cause:8 ~parent:0 "b")
+       () 0);
   Engine.run e;
   let stamped = Alcotest.(list (triple int (pair int int) string)) in
   let expected = [ (Time.ms 5, (7, 3), "a"); (Time.ms 9, (8, 0), "b") ] in
@@ -232,7 +328,10 @@ let test_mtrace_find_first () =
   let trace : int Mtrace.t = Mtrace.create e in
   List.iter
     (fun (t, v) ->
-      ignore (Engine.schedule_at e t (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 v)))
+      ignore
+        (Engine.schedule_at e t Engine.thunk
+           (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 v)
+           () 0))
     [ (Time.ms 1, 10); (Time.ms 2, 20); (Time.ms 3, 20) ];
   Engine.run e;
   Alcotest.(check (option (pair int int)))
@@ -246,8 +345,9 @@ let test_mtrace_subscribe () =
   let trace : int Mtrace.t = Mtrace.create e in
   let seen = ref [] in
   Mtrace.subscribe trace (fun en -> seen := en.Mtrace.ev :: !seen);
-  ignore (Engine.schedule_at e (Time.ms 1) (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 1));
-  ignore (Engine.schedule_at e (Time.ms 2) (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 2));
+  let emit v () = Mtrace.emit trace ~cause:0 ~parent:0 v in
+  ignore (Engine.schedule_at e (Time.ms 1) Engine.thunk (emit 1) () 0);
+  ignore (Engine.schedule_at e (Time.ms 2) Engine.thunk (emit 2) () 0);
   Engine.run e;
   Alcotest.(check (list int)) "observer sees all" [ 1; 2 ] (List.rev !seen)
 
@@ -255,8 +355,9 @@ let emit_seq trace e values =
   List.iteri
     (fun i v ->
       ignore
-        (Engine.schedule_at e (Time.ms (i + 1)) (fun () ->
-             Mtrace.emit trace ~cause:0 ~parent:0 v)))
+        (Engine.schedule_at e (Time.ms (i + 1)) Engine.thunk
+           (fun () -> Mtrace.emit trace ~cause:0 ~parent:0 v)
+           () 0))
     values;
   Engine.run e
 
@@ -330,6 +431,12 @@ let tests =
     Alcotest.test_case "engine: nested scheduling" `Quick
       test_engine_schedule_during_run;
     Alcotest.test_case "engine: past rejected" `Quick test_engine_past_rejected;
+    Alcotest.test_case "engine: one order across heap, wheel and thunk" `Quick
+      test_engine_one_order_across_paths;
+    Alcotest.test_case "engine: handler receives its operands" `Quick
+      test_engine_handler_operands;
+    Alcotest.test_case "engine: past deadline has one message" `Quick
+      test_engine_past_message;
     Alcotest.test_case "engine: counters" `Quick test_engine_counters;
     Alcotest.test_case "timer: fires once" `Quick test_timer_fires_once;
     Alcotest.test_case "timer: re-arm cancels previous" `Quick

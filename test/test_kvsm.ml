@@ -159,8 +159,9 @@ let test_client_latency_measurement () =
   let target ~payload:_ ~client_id:_ ~seq:_ ~on_result =
     (* Commit after 30ms of simulated time. *)
     ignore
-      (Des.Engine.schedule_after engine (Des.Time.ms 30) (fun () ->
-           on_result ~committed:true)
+      (Des.Engine.schedule_after engine (Des.Time.ms 30) Des.Engine.thunk
+         (fun () -> on_result ~committed:true)
+         () 0
         : Des.Engine.handle);
     `Accepted
   in

@@ -52,7 +52,9 @@ let prop_engine_orders_events =
       List.iter
         (fun t ->
           ignore
-            (Des.Engine.schedule_at e t (fun () -> fired := t :: !fired)))
+            (Des.Engine.schedule_at e t Des.Engine.thunk
+               (fun () -> fired := t :: !fired)
+               () 0))
         times;
       Des.Engine.run e;
       let got = List.rev !fired in
@@ -430,27 +432,27 @@ let prop_wheel_matches_heap =
           sub_next_live ()
         end
       in
+      let fire (ev : H.event) = ev.H.fn ev.H.a ev.H.b ev.H.arg in
       let fire_one () =
         let sub = sub_next_live () in
         (match H.pop_live ref_heap with
-        | Some r -> H.run_closure r
+        | Some r -> fire r
         | None -> if sub != H.never then ok := false);
         if sub != H.never then begin
           H.drop_top sub_heap;
           now := sub.H.at;
-          H.run_closure sub
+          fire sub
         end
       in
+      (* Each side's handler logs the event's seq, carried as its int. *)
+      let record fired () s = fired := s :: !fired in
       let step = function
         | W_schedule offset ->
             let at = !now + offset and s = !seq in
             incr seq;
-            let r = H.schedule ref_heap ~at ~seq:s (fun () ->
-                ref_fired := s :: !ref_fired)
-            in
-            let e = H.make sub_heap ~at ~seq:s (fun () ->
-                sub_fired := s :: !sub_fired)
-            in
+            let r = H.alloc ref_heap ~at ~seq:s record ref_fired () s in
+            H.push_event ref_heap r;
+            let e = H.alloc sub_heap ~at ~seq:s record sub_fired () s in
             if not (Des.Wheel.insert wheel e) then H.push_event sub_heap e;
             handles := (r, e) :: !handles
         | W_cancel k -> (
