@@ -1,7 +1,8 @@
-(* The hot-path loop builders shared between the bechamel
-   microbenchmarks (bench/micro.ml) and the perf-regression guard
-   (`selfcheck --perf`): both must price exactly the same code, or the
-   guard would ratchet numbers the benchmark never reported.
+(* The hot-path loop builders and pinned perf plans shared between the
+   bechamel microbenchmarks (bench/micro.ml), the JSON report's
+   perf_guard section (bench/main.ml) and the perf-regression guard
+   (`selfcheck --perf`): all three must price exactly the same code, or
+   the guard would ratchet numbers the benchmark never reported.
 
    Each builder returns a closure whose per-call minor-heap allocation
    is a constant of the code path alone (no GC- or time-dependent
@@ -292,3 +293,52 @@ let words_per_op f =
   done;
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int iters
+
+(* The six words/op rows of the perf guard, under their baseline keys. *)
+let guard_loops =
+  [
+    ("hb_words", make_heartbeat_loop);
+    ("rebatch_words", make_leader_append_loop);
+    ("follower_append_words", make_follower_append_loop);
+    ("try_append_words", make_try_append_loop);
+    ("vote_round_words", make_vote_round_loop);
+    ("snapshot_install_words", make_snapshot_install_loop);
+  ]
+
+(* The steady-state plan: a seed-5 three-server dynatune cluster, elected
+   and run 10 s, then measured over the next 120 s — the follower
+   heartbeat path end to end, timers through fabric to delivery. *)
+let steady_state_alloc ?forensics () =
+  let cluster =
+    Harness.Cluster.create ~seed:5L ~n:3
+      ~config:(Raft.Config.dynatune ())
+      ?forensics ()
+  in
+  Harness.Cluster.start cluster;
+  (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
+  | Some _ -> ()
+  | None -> failwith "steady-state cluster elected no leader");
+  Harness.Cluster.run_for cluster (Des.Time.sec 10);
+  let w0 = Gc.minor_words () in
+  let e0 = Des.Engine.global_processed () in
+  Harness.Cluster.run_for cluster (Des.Time.sec 120);
+  let e1 = Des.Engine.global_processed () in
+  let w1 = Gc.minor_words () in
+  (w1 -. w0, e1 - e0)
+
+let steady_state_words_per_event ?forensics () =
+  let words, events = steady_state_alloc ?forensics () in
+  words /. float_of_int events
+
+let fig4_guard_plan = "fig4 seed=42 failures=400 shards=4 jobs=1"
+
+let fig4_guard () =
+  Scenarios.Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
+    ~config:(Raft.Config.dynatune ()) ()
+
+let multiraft_guard_plan =
+  "multiraft seed=11 groups=4 replicas=3 rates=500,1000 jobs=1"
+
+let multiraft_guard () =
+  Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
+    ~rates:[ 500.; 1000. ] ~jobs:1 ()

@@ -1,5 +1,6 @@
-(** Hot-path loop builders shared by the bechamel microbenchmarks and
-    the perf-regression guard (`selfcheck --perf`).
+(** Hot-path loop builders and pinned perf plans shared by the bechamel
+    microbenchmarks, the JSON report's perf_guard section and the
+    perf-regression guard (`selfcheck --perf`).
 
     Every [make_*] builder returns a closure that replays one pinned
     operation; its minor-heap allocation per call is a constant of the
@@ -38,3 +39,31 @@ val make_snapshot_install_loop : unit -> unit -> unit
 val words_per_op : (unit -> unit) -> float
 (** Minor words allocated per call of [f], measured over 100k iterations
     after a 100-call warmup. *)
+
+val guard_loops : (string * (unit -> unit -> unit)) list
+(** The words/op rows the perf guard ratchets, keyed by their
+    [perf_guard] field name in the baseline report. *)
+
+val steady_state_alloc :
+  ?forensics:Telemetry.Forensics.t -> unit -> float * int
+(** The pinned steady-state plan: a seed-5 three-server dynatune cluster,
+    elected and run 10 s, then measured over 120 s.  Returns the minor
+    words allocated and the DES events processed in that window — both
+    constants of the seed.  Raises [Failure] if no leader is elected. *)
+
+val steady_state_words_per_event :
+  ?forensics:Telemetry.Forensics.t -> unit -> float
+(** {!steady_state_alloc}'s words divided by its events. *)
+
+val fig4_guard_plan : string
+(** Description of {!fig4_guard}, as the report prints it. *)
+
+val fig4_guard : unit -> Scenarios.Fig4.result
+(** The fig4 guard plan: seed 42, 400 dynatune failovers over 4 shards,
+    [jobs = 1]. *)
+
+val multiraft_guard_plan : string
+
+val multiraft_guard : unit -> Scenarios.Multiraft.result
+(** The multiraft guard plan: seed 11, 4 three-replica groups at 500 and
+    1000 req/s, [jobs = 1]. *)

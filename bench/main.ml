@@ -16,14 +16,8 @@
    for bit; any N is deterministic for a fixed (seed, N). *)
 
 module Fig4 = Scenarios.Fig4
-module Fig5 = Scenarios.Fig5
-module Fig6 = Scenarios.Fig6
-module Fig7 = Scenarios.Fig7
-module Fig8 = Scenarios.Fig8
-module Ablation = Scenarios.Ablation
+module Figures = Scenarios.Figures
 module Report = Scenarios.Report
-
-type scale = { full : bool; jobs : int }
 
 let ppf = Format.std_formatter
 
@@ -60,86 +54,19 @@ let timed name f =
     :: !records;
   Format.fprintf ppf "@.[%s done in %.1fs wall]@." name wall
 
-let run_fig4 { full; jobs } =
-  timed "fig4" (fun () ->
-      let failures = if full then 1000 else 200 in
-      Fig4.print ppf (Fig4.compare_modes ~failures ~jobs ()))
-
-let run_fig5 { full; jobs } =
-  timed "fig5" (fun () ->
-      let hold = Des.Time.sec (if full then 10 else 3) in
-      Fig5.print ppf (Fig5.compare_modes ~hold ~jobs ()))
-
-let run_fig5sat { full; jobs } =
-  timed "fig5sat" (fun () ->
-      let hold = Des.Time.sec (if full then 10 else 3) in
-      Fig5.print_saturation ppf (Fig5.saturation ~hold ~jobs ()))
-
-let run_fig6 pattern { full; jobs } =
-  let name = match pattern with Fig6.Gradual -> "fig6a" | Fig6.Radical -> "fig6b" in
-  timed name (fun () ->
-      let hold = Des.Time.sec (if full then 60 else 20) in
-      Fig6.print ppf pattern (Fig6.compare_modes ~hold ~jobs ~pattern ()))
-
-let run_fig7 { full; jobs } =
-  timed "fig7" (fun () ->
-      let hold = Des.Time.sec (if full then 180 else 20) in
-      let ns = [ 5; 17; 65 ] in
-      Fig7.print ppf (Fig7.compare_modes ~hold ~jobs ~ns ()))
-
-let run_fig8 { full; jobs } =
-  timed "fig8" (fun () ->
-      let failures = if full then 1000 else 150 in
-      Fig8.print ppf (Fig8.compare_modes ~failures ~jobs ()))
-
-let run_ablation { full; jobs } =
-  timed "ablation" (fun () ->
-      let failures = if full then 200 else 60 in
-      let quiet = Des.Time.sec (if full then 300 else 60) in
-      let safety = Ablation.safety_factor_sweep ~failures ~quiet ~jobs () in
-      let arrival = Ablation.arrival_probability_sweep ~quiet ~jobs () in
-      let sizes = Ablation.list_size_sweep ~jobs () in
-      let estimators = Ablation.estimator_sweep ~jobs () in
-      Ablation.print ppf (safety, arrival, sizes, estimators))
-
-let run_reconfig { full; jobs } =
-  timed "reconfig" (fun () ->
-      let rounds = if full then 8 else 4 in
-      Scenarios.Reconfig.print ppf
-        (Scenarios.Reconfig.compare_modes ~rounds ~jobs ()))
-
-let run_extensions { full; jobs } =
-  timed "extensions" (fun () ->
-      let hold = Des.Time.sec (if full then 10 else 3) in
-      Scenarios.Extensions.print ppf (Scenarios.Extensions.run ~hold ~jobs ()))
-
-let run_multiraft { full; jobs } =
-  timed "multiraft" (fun () ->
-      let group_counts = if full then [ 16; 64 ] else [ 4; 16 ] in
-      let hold = Des.Time.sec (if full then 5 else 2) in
-      Scenarios.Multiraft.print ppf
-        (Scenarios.Multiraft.sweep ~group_counts ~hold ~jobs ()))
-
-let run_micro _ =
-  timed "micro" (fun () ->
-      Report.banner ppf "Microbenchmarks (bechamel)";
-      Micro.run ppf)
-
+(* The shared figure table, each entry timed, plus the bechamel
+   microbenchmarks, which only this harness runs. *)
 let figures =
-  [
-    ("fig4", run_fig4);
-    ("fig5", run_fig5);
-    ("fig5sat", run_fig5sat);
-    ("fig6a", run_fig6 Fig6.Gradual);
-    ("fig6b", run_fig6 Fig6.Radical);
-    ("fig7", run_fig7);
-    ("fig8", run_fig8);
-    ("ablation", run_ablation);
-    ("reconfig", run_reconfig);
-    ("extensions", run_extensions);
-    ("multiraft", run_multiraft);
-    ("micro", run_micro);
-  ]
+  List.map
+    (fun (name, run) -> (name, fun scale -> timed name (fun () -> run scale ppf)))
+    Figures.table
+  @ [
+      ( "micro",
+        fun _ ->
+          timed "micro" (fun () ->
+              Report.banner ppf "Microbenchmarks (bechamel)";
+              Micro.run ppf) );
+    ]
 
 (* The report is flat and the values are numbers/strings, so the JSON is
    written by hand rather than pulling in a serialization library. *)
@@ -267,35 +194,25 @@ let multiraft_json () =
 let guard_json () =
   let t0 = Unix.gettimeofday () in
   let e0 = Des.Engine.global_processed () in
-  let r =
-    Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
-      ~config:(Raft.Config.dynatune ()) ()
-  in
+  let r = Bench_loops.fig4_guard () in
   let wall = Unix.gettimeofday () -. t0 in
   let events = Des.Engine.global_processed () - e0 in
-  let mr =
-    Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
-      ~rates:[ 500.; 1000. ] ~jobs:1 ()
+  let mr = Bench_loops.multiraft_guard () in
+  let words =
+    List.map
+      (fun (key, make) ->
+        Printf.sprintf "%S: %.1f" key (Bench_loops.words_per_op (make ())))
+      Bench_loops.guard_loops
   in
-  let words f = Bench_loops.words_per_op (f ()) in
   Printf.sprintf
-    "{\"plan\": \"fig4 seed=42 failures=400 shards=4 jobs=1\", \"digest\": \
-     \"%Lx\", \"wall_s\": %.3f, \"events\": %d, \"events_per_s\": %.0f, \
-     \"multiraft_plan\": \"multiraft seed=11 groups=4 replicas=3 \
-     rates=500,1000 jobs=1\", \"multiraft_digest\": \"%Lx\", \"hb_words\": \
-     %.1f, \"rebatch_words\": %.1f, \"follower_append_words\": %.1f, \
-     \"try_append_words\": %.1f, \"vote_round_words\": %.1f, \
-     \"snapshot_install_words\": %.1f, \"words_per_event\": %.2f}"
-    r.Fig4.digest wall events
+    "{\"plan\": %S, \"digest\": \"%Lx\", \"wall_s\": %.3f, \"events\": %d, \
+     \"events_per_s\": %.0f, \"multiraft_plan\": %S, \"multiraft_digest\": \
+     \"%Lx\", %s, \"words_per_event\": %.2f}"
+    Bench_loops.fig4_guard_plan r.Fig4.digest wall events
     (if wall > 0. then float_of_int events /. wall else 0.)
-    mr.Scenarios.Multiraft.digest
-    (words Bench_loops.make_heartbeat_loop)
-    (words Bench_loops.make_leader_append_loop)
-    (words Bench_loops.make_follower_append_loop)
-    (words Bench_loops.make_try_append_loop)
-    (words Bench_loops.make_vote_round_loop)
-    (words Bench_loops.make_snapshot_install_loop)
-    (Micro.cluster_words_per_event ())
+    Bench_loops.multiraft_guard_plan mr.Scenarios.Multiraft.digest
+    (String.concat ", " words)
+    (Bench_loops.steady_state_words_per_event ())
 
 let usage () =
   Format.eprintf
@@ -361,7 +278,7 @@ let () =
     jobs
     (if jobs = 1 then "" else "s")
     (String.concat ", " wanted);
-  let scale = { full = !full; jobs } in
+  let scale = { Figures.full = !full; jobs } in
   List.iter (fun name -> (List.assoc name figures) scale) wanted;
   Option.iter
     (fun path ->

@@ -212,36 +212,17 @@ let words_per_op ppf name f =
   Format.fprintf ppf "  %-40s %10.1f minor words/op@." name
     (Bench_loops.words_per_op f)
 
-(* The forensics contract, measured: a steady-state 3-node cluster —
-   the follower heartbeat path end to end, timers through fabric to
-   delivery — as minor words per DES event.  With the ring disabled the
-   loop must allocate exactly like a cluster with no ring at all (the
-   [fo_on] guards keep the disabled path allocation-free; `selfcheck
+(* The forensics contract, measured on the pinned steady-state plan
+   (Bench_loops): with causal tracking disabled the loop must allocate
+   exactly like a cluster with no forensics handle at all (`selfcheck
    --perf` gates that equality); the enabled figure prices turning it
-   on.  DES runs are deterministic, so each figure is a constant for
-   the pinned seed. *)
-let cluster_words_per_event ?forensics () =
-  let cluster =
-    Harness.Cluster.create ~seed:5L ~n:3
-      ~config:(Raft.Config.dynatune ())
-      ?forensics ()
-  in
-  Harness.Cluster.start cluster;
-  (match Harness.Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> failwith "micro: steady-state cluster elected no leader");
-  Harness.Cluster.run_for cluster (Des.Time.sec 10);
-  let w0 = Gc.minor_words () in
-  let e0 = Des.Engine.global_processed () in
-  Harness.Cluster.run_for cluster (Des.Time.sec 120);
-  let e1 = Des.Engine.global_processed () in
-  let w1 = Gc.minor_words () in
-  (w1 -. w0) /. float_of_int (e1 - e0)
-
+   on.  DES runs are deterministic, so each figure is a constant for the
+   pinned seed. *)
 let forensics_pair ppf =
-  let off = cluster_words_per_event () in
+  let off = Bench_loops.steady_state_words_per_event () in
   let on_ =
-    cluster_words_per_event ~forensics:(Telemetry.Forensics.create ()) ()
+    Bench_loops.steady_state_words_per_event
+      ~forensics:(Telemetry.Forensics.create ()) ()
   in
   Format.fprintf ppf "  %-40s %10.1f minor words/event@."
     "cluster heartbeat loop (forensics off)" off;
@@ -261,10 +242,16 @@ let allocation_report ppf =
     (Bench_loops.make_vote_round_loop ());
   words_per_op ppf "server.handle stale snapshot install"
     (Bench_loops.make_snapshot_install_loop ());
+  (* Advancing the clock visits the cancelled event's slot, which returns
+     it to the pool for the next arm; without it every arm would allocate
+     a fresh event and the line would price pool growth.  The step is longer
+     than a wheel tick (~1.05 ms), so each deadline lands past the cursor
+     and is parked in the wheel rather than pushed on the heap. *)
   (let e = Des.Engine.create () in
    words_per_op ppf "wheel timer schedule+cancel" (fun () ->
        Des.Engine.cancel
-         (Des.Engine.schedule_timer e (Des.Time.ms 500) nop () () 0)));
+         (Des.Engine.schedule_timer e (Des.Time.ms 500) nop () () 0);
+       Des.Engine.run_for e (Des.Time.ms 2)));
   let log = bench_log () in
   let i = ref 0 in
   words_per_op ppf "log.slice 64 (array)" (fun () ->

@@ -505,12 +505,12 @@ let multiraft_cmd =
 (* {2 figure} *)
 
 let figure_cmd =
+  let names = String.concat ", " (List.map fst Scenarios.Figures.table) in
   let figure_name =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIGURE"
-          ~doc:"One of: fig4, fig5, fig6a, fig6b, fig7, fig8, ablation.")
+      & info [] ~docv:"FIGURE" ~doc:("One of: " ^ names ^ "."))
   in
   let full =
     Arg.(
@@ -518,43 +518,17 @@ let figure_cmd =
       & info [ "full" ] ~doc:"Paper-scale parameters (slower).")
   in
   let run figure_name full =
-    let hold quick f = Des.Time.sec (if full then f else quick) in
-    match figure_name with
-    | "fig4" ->
-        Scenarios.Fig4.print ppf
-          (Scenarios.Fig4.compare_modes
-             ~failures:(if full then 1000 else 200)
-             ())
-    | "fig5" ->
-        Scenarios.Fig5.print ppf
-          (Scenarios.Fig5.compare_modes ~hold:(hold 3 10) ())
-    | "fig6a" ->
-        Scenarios.Fig6.print ppf Scenarios.Fig6.Gradual
-          (Scenarios.Fig6.compare_modes ~hold:(hold 20 60)
-             ~pattern:Scenarios.Fig6.Gradual ())
-    | "fig6b" ->
-        Scenarios.Fig6.print ppf Scenarios.Fig6.Radical
-          (Scenarios.Fig6.compare_modes ~hold:(hold 20 60)
-             ~pattern:Scenarios.Fig6.Radical ())
-    | "fig7" ->
-        Scenarios.Fig7.print ppf
-          (Scenarios.Fig7.compare_modes ~hold:(hold 20 180) ~ns:[ 5; 17; 65 ]
-             ())
-    | "fig8" ->
-        Scenarios.Fig8.print ppf
-          (Scenarios.Fig8.compare_modes
-             ~failures:(if full then 1000 else 150)
-             ())
-    | "ablation" ->
-        Scenarios.Ablation.print ppf
-          ( Scenarios.Ablation.safety_factor_sweep (),
-            Scenarios.Ablation.arrival_probability_sweep (),
-            Scenarios.Ablation.list_size_sweep (),
-            Scenarios.Ablation.estimator_sweep () )
-    | other -> Format.fprintf ppf "unknown figure %S@." other
+    match List.assoc_opt figure_name Scenarios.Figures.table with
+    | Some run -> run { Scenarios.Figures.full; jobs = 1 } ppf
+    | None ->
+        Format.eprintf "unknown figure %S; available: %s@." figure_name names;
+        exit 2
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
+    (Cmd.info "figure"
+       ~doc:
+         "Regenerate one of the paper's figures (the bench harness's \
+          table, run sequentially)")
     Term.(const run $ figure_name $ full)
 
 let () =

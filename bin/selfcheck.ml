@@ -436,27 +436,15 @@ let guard_field json key =
   in
   String.sub json a (stop a - a)
 
-(* The forensics disabled-path gate: a steady-state cluster event loop
-   (the follower heartbeat path end to end) must allocate identically
-   with no ring at all and with a present-but-disabled ring — the
-   [fo_on] guards in [Raft.Node] keep the disabled path allocation-free.
-   A DES run's allocation is deterministic for a pinned seed, so the
-   comparison is exact: one extra word per event would fail it. *)
+(* The forensics disabled-path gate: the pinned steady-state cluster
+   (Bench_loops) must allocate identically with no forensics handle and
+   with a present-but-disabled one — the [fo_on] guards in [Raft.Node]
+   keep the disabled path allocation-free.  A DES run's allocation is
+   deterministic for a pinned seed, so the comparison is exact: one
+   extra word per event would fail it. *)
 let forensics_off_allocation_gate () =
   let minor_words forensics =
-    let cluster =
-      Harness.Cluster.create ~seed:5L ~n:3
-        ~config:(Raft.Config.dynatune ())
-        ?forensics ()
-    in
-    Cluster.start cluster;
-    (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-    | Some _ -> ()
-    | None -> fail "forensics gate: steady-state cluster elected no leader");
-    Cluster.run_for cluster (Des.Time.sec 10);
-    let w0 = Gc.minor_words () in
-    Cluster.run_for cluster (Des.Time.sec 120);
-    Gc.minor_words () -. w0
+    fst (Bench_loops.steady_state_alloc ?forensics ())
   in
   (* One throwaway run first: lazy state (format strings, registries)
      initialized on the first pass would otherwise bias the baseline. *)
@@ -468,24 +456,6 @@ let forensics_off_allocation_gate () =
       "forensics disabled path allocates: %.0f minor words with no ring vs \
        %.0f with a disabled ring over the same pinned run"
       base off
-
-(* Minor words per processed DES event, steady-state 3-node dynatune
-   cluster: the same pinned plan as [forensics_off_allocation_gate],
-   normalized by the engine's event count. *)
-let cluster_minor_words_per_event () =
-  let cluster =
-    Harness.Cluster.create ~seed:5L ~n:3 ~config:(Raft.Config.dynatune ()) ()
-  in
-  Cluster.start cluster;
-  (match Cluster.await_leader cluster ~timeout:(Des.Time.sec 30) with
-  | Some _ -> ()
-  | None -> fail "words/event gate: steady-state cluster elected no leader");
-  Cluster.run_for cluster (Des.Time.sec 10);
-  let w0 = Gc.minor_words () in
-  let e0 = Des.Engine.global_processed () in
-  Cluster.run_for cluster (Des.Time.sec 120);
-  let e1 = Des.Engine.global_processed () in
-  (Gc.minor_words () -. w0) /. float_of_int (e1 - e0)
 
 let run_perf ~baseline =
   let json =
@@ -499,10 +469,7 @@ let run_perf ~baseline =
     | Some f when f > 0. -> f
     | Some _ | None -> fail "perf baseline has no usable events_per_s"
   in
-  let plan () =
-    Scenarios.Fig4.run ~seed:42L ~failures:400 ~shards:4 ~jobs:1
-      ~config:(Raft.Config.dynatune ()) ()
-  in
+  let plan = Bench_loops.fig4_guard in
   (* Digests first (and always): any drift is a determinism regression,
      whatever the host's load. *)
   let digest = Printf.sprintf "%Lx" (plan ()).Scenarios.Fig4.digest in
@@ -511,10 +478,7 @@ let run_perf ~baseline =
           changed"
       digest base_digest;
   let base_mr_digest = guard_field json "multiraft_digest" in
-  let mr =
-    Scenarios.Multiraft.sweep ~seed:11L ~group_counts:[ 4 ] ~replicas:3
-      ~rates:[ 500.; 1000. ] ~jobs:1 ()
-  in
+  let mr = Bench_loops.multiraft_guard () in
   let mr_digest = Printf.sprintf "%Lx" mr.Scenarios.Multiraft.digest in
   if not (String.equal mr_digest base_mr_digest) then
     fail
@@ -539,21 +503,14 @@ let run_perf ~baseline =
            %.1f (allowed %.1f)"
           key now base
           ((base *. 1.15) +. 8.))
-    [
-      ("hb_words", Bench_loops.make_heartbeat_loop);
-      ("rebatch_words", Bench_loops.make_leader_append_loop);
-      ("follower_append_words", Bench_loops.make_follower_append_loop);
-      ("try_append_words", Bench_loops.make_try_append_loop);
-      ("vote_round_words", Bench_loops.make_vote_round_loop);
-      ("snapshot_install_words", Bench_loops.make_snapshot_install_loop);
-    ];
+    Bench_loops.guard_loops;
   (* Minor words per DES event of a steady-state cluster: the end-to-end
      allocation figure the pooling work moves (the loop ratchets above
      only cover the server in isolation).  A pinned-seed DES run's
      allocation is deterministic, so a tight 10% margin holds. *)
   (match float_of_string_opt (guard_field json "words_per_event") with
   | Some base when base > 0. ->
-      let now = cluster_minor_words_per_event () in
+      let now = Bench_loops.steady_state_words_per_event () in
       if now > (base *. 1.10) +. 1. then
         fail
           "perf guard allocation regression: %.2f minor words/event in the \

@@ -376,27 +376,9 @@ let run_for t span = Des.Engine.run_for t.engine span
 let now t = Des.Engine.now t.engine
 
 let await_leader t ~timeout =
-  let deadline = Des.Time.add (now t) timeout in
-  (* Leadership only changes when an event runs, so a poll slice that
-     processed nothing can skip the roster scan.  The cadence of the
-     1 ms slices — and thus where the engine clock stops — is
-     unchanged. *)
-  let last_processed = ref (-1) in
-  let rec poll () =
-    let processed = Des.Engine.processed_events t.engine in
-    let l = if processed = !last_processed then None else leader t in
-    last_processed := processed;
-    match l with
-    | Some l -> Some l
-    | None ->
-        if now t >= deadline then None
-        else begin
-          Des.Engine.run_until t.engine
-            (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-          poll ()
-        end
-  in
-  poll ()
+  if Des.Engine.poll t.engine ~timeout (fun () -> Option.is_some (leader t))
+  then leader t
+  else None
 
 let set_uniform_conditions t c = Netsim.Fabric.set_uniform_conditions t.fabric c
 
@@ -487,25 +469,15 @@ let config_quiet t =
       Raft.Server.pending_config s = None
       && Raft.Server.transfer_pending s = None
 
-let poll_until t ~timeout cond =
-  let deadline = Des.Time.add (now t) timeout in
-  let rec poll () =
-    if cond () then true
-    else if now t >= deadline then false
-    else begin
-      Des.Engine.run_until t.engine
-        (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-      poll ()
-    end
-  in
-  poll ()
+let is_voter t target =
+  match leader t with
+  | None -> false
+  | Some l ->
+      let s = Raft.Node.server l in
+      Raft.Server.is_voter s target && Raft.Server.pending_config s = None
 
-let await_config_quiet t ~timeout = poll_until t ~timeout (fun () -> config_quiet t)
+let await_config_quiet t ~timeout =
+  Des.Engine.poll t.engine ~timeout (fun () -> config_quiet t)
 
 let await_voter t target ~timeout =
-  poll_until t ~timeout (fun () ->
-      match leader t with
-      | None -> false
-      | Some l ->
-          let s = Raft.Node.server l in
-          Raft.Server.is_voter s target && Raft.Server.pending_config s = None)
+  Des.Engine.poll t.engine ~timeout (fun () -> is_voter t target)

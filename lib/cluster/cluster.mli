@@ -132,8 +132,8 @@ val leader : t -> Raft.Node.t option
     claim leadership (stale terms), the one with the highest term. *)
 
 val await_leader : t -> timeout:Des.Time.span -> Raft.Node.t option
-(** Run the engine until a leader exists (checking at millisecond
-    granularity) or the timeout elapses. *)
+(** Run the engine until a leader exists or the timeout elapses
+    ({!Des.Engine.poll}, 1 ms slices). *)
 
 val set_uniform_conditions : t -> Netsim.Conditions.t -> unit
 
@@ -191,13 +191,20 @@ val retire : t -> Netsim.Node_id.t -> unit
     the fabric (in-flight traffic to it is dropped; its links die with
     it).  The member's store remains readable. *)
 
+val config_quiet : t -> bool
+(** A leader exists with no pending config change and no in-flight
+    leadership transfer. *)
+
+val is_voter : t -> Netsim.Node_id.t -> bool
+(** The leader's configuration lists the node as a voter with no change
+    pending (i.e. its promotion committed). *)
+
 val await_config_quiet : t -> timeout:Des.Time.span -> bool
-(** Run until a leader exists with no pending config change and no
-    in-flight leadership transfer (millisecond polling), or time out. *)
+(** Poll ({!Des.Engine.poll}, 1 ms slices) until {!config_quiet}, or time
+    out. *)
 
 val await_voter : t -> Netsim.Node_id.t -> timeout:Des.Time.span -> bool
-(** Run until the leader's configuration lists the node as a voter with
-    no change pending (i.e. its promotion committed), or time out. *)
+(** Poll until {!is_voter}, or time out. *)
 
 val run_for : t -> Des.Time.span -> unit
 val now : t -> Des.Time.t

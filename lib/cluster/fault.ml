@@ -91,36 +91,6 @@ let analyse t ~failed ~failed_at ~new_leader_at ~new_leader =
           election_rounds = !rounds;
         }
 
-let await_new_leader t ~excluding ~limit =
-  let deadline = Des.Time.add (Cluster.now t) limit in
-  (* As in [Cluster.await_leader]: a 1 ms slice that processed no events
-     cannot have changed leadership, so skip the roster scan.  Slice
-     cadence (where the engine clock stops) is unchanged. *)
-  let engine = Cluster.engine t in
-  let last_processed = ref (-1) in
-  let rec poll () =
-    let processed = Des.Engine.processed_events engine in
-    let fresh =
-      if processed = !last_processed then None
-      else
-        match Cluster.leader t with
-        | Some l when not (Node_id.equal (Raft.Node.id l) excluding) -> Some l
-        | Some _ | None -> None
-    in
-    last_processed := processed;
-    match fresh with
-    | Some l -> Some (Raft.Node.id l, Cluster.now t)
-    | None ->
-        if Cluster.now t >= deadline then None
-        else begin
-          Des.Engine.run_until (Cluster.engine t)
-            (Stdlib.min deadline
-               (Des.Time.add (Cluster.now t) (Des.Time.ms 1)));
-          poll ()
-        end
-  in
-  poll ()
-
 (* Run until every live follower's tuner has left Step 0 (no-op for
    static configurations), so consecutive failure injections measure the
    tuned steady state rather than the warming fallback. *)
@@ -133,16 +103,14 @@ let settle_until_tuned t =
     | None -> true
     | Some tuner -> Dynatune.Tuner.phase tuner = Dynatune.Tuner.Tuned
   in
-  let all_settled () =
-    Cluster.leader t <> None
-    && List.for_all
-         (fun node -> Raft.Node.is_paused node || tuned_or_static node)
-         (Cluster.nodes t)
-  in
-  let deadline = Des.Time.add (Cluster.now t) (Des.Time.sec 60) in
-  while (not (all_settled ())) && Cluster.now t < deadline do
-    Cluster.run_for t (Des.Time.ms 100)
-  done
+  ignore
+    (Des.Engine.poll (Cluster.engine t) ~timeout:(Des.Time.sec 60)
+       ~every:(Des.Time.ms 100) (fun () ->
+         Option.is_some (Cluster.leader t)
+         && List.for_all
+              (fun node -> Raft.Node.is_paused node || tuned_or_static node)
+              (Cluster.nodes t))
+      : bool)
 
 let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
   (* De-correlate the kill instant from the heartbeat schedule: the
@@ -167,13 +135,24 @@ let fail_and_measure t ?(detect_limit = Des.Time.sec 60) () =
   match kill with
   | None -> Error "no leader to kill"
   | Some (failed, failed_at) -> (
-      match await_new_leader t ~excluding:failed ~limit:detect_limit with
+      let successor () =
+        match Cluster.leader t with
+        | Some l when not (Node_id.equal (Raft.Node.id l) failed) ->
+            Some (Raft.Node.id l)
+        | Some _ | None -> None
+      in
+      let found =
+        Des.Engine.poll (Cluster.engine t) ~timeout:detect_limit (fun () ->
+            Option.is_some (successor ()))
+      in
+      match if found then successor () else None with
       | None ->
           recover t failed;
           Error "no new leader elected within the limit"
-      | Some (new_leader, new_leader_at) ->
+      | Some new_leader ->
           let outcome =
-            analyse t ~failed ~failed_at ~new_leader_at ~new_leader
+            analyse t ~failed ~failed_at ~new_leader_at:(Cluster.now t)
+              ~new_leader
           in
           recover t failed;
           (* Let the old leader rejoin and the cluster settle before the

@@ -57,6 +57,24 @@ let watch t ~every ~duration ~probes =
   Des.Engine.run_until engine stop_at;
   List.map (fun (p, ts) -> (p.name, ts)) series
 
+type tally = { timeouts : int; elections : int; pre_vote_aborts : int }
+
+let tally trace ~from ~until =
+  let timeouts = ref 0 and elections = ref 0 and aborts = ref 0 in
+  Des.Mtrace.iter trace ~f:(fun { Des.Mtrace.at; ev; _ } ->
+      if at > from && at <= until then
+        match ev with
+        | Raft.Probe.Timeout_expired _ -> incr timeouts
+        | Raft.Probe.Election_started _ -> incr elections
+        | Raft.Probe.Pre_vote_aborted _ -> incr aborts
+        | Raft.Probe.Role_change _ | Raft.Probe.Tuner_reset _
+        | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
+        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
+        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
+        | Raft.Probe.Vote_received _ ->
+            ());
+  { timeouts = !timeouts; elections = !elections; pre_vote_aborts = !aborts }
+
 let leaderless_intervals t ~from ~until =
   let roles : Raft.Types.role Node_id.Table.t =
     Node_id.Table.create (Cluster.size t)

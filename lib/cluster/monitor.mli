@@ -38,6 +38,18 @@ val watch :
     given period; returns one time series (times in seconds) per probe.
     NaN samples are recorded as-is (plotted series show gaps). *)
 
+type tally = {
+  timeouts : int;  (** election-timer expiries *)
+  elections : int;  (** real campaigns started *)
+  pre_vote_aborts : int;
+}
+
+val tally :
+  Raft.Probe.t Des.Mtrace.t -> from:Des.Time.t -> until:Des.Time.t -> tally
+(** Count the trace's protocol events with timestamp in [(from, until\]]
+    — the window a scenario measured after advancing from [from] to
+    [until].  Like {!leaderless_intervals}, sees only retained entries. *)
+
 val leaderless_intervals :
   Cluster.t -> from:Des.Time.t -> until:Des.Time.t ->
   (Des.Time.t * Des.Time.t) list

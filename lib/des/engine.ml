@@ -141,6 +141,22 @@ let run_until t limit =
 
 let run_for t span = run_until t (Time.add t.clock span)
 
+(* State that [cond] reads only changes when an event runs, so a slice
+   that processed nothing skips the re-check; the slice cadence, and so
+   where the clock stops, does not depend on it. *)
+let poll t ~timeout ?(every = Time.ms 1) cond =
+  if every <= 0 then invalid_arg "Engine.poll: every must be positive";
+  let deadline = Time.add t.clock timeout in
+  let rec slice () =
+    if t.clock >= deadline then false
+    else begin
+      let seen = t.processed in
+      run_until t (Stdlib.min deadline (Time.add t.clock every));
+      (t.processed <> seen && cond ()) || slice ()
+    end
+  in
+  cond () || slice ()
+
 let pending_events t =
   Event_heap.live_length t.queue
   + (Event_heap.stats t.queue).Event_heap.wheel_occupancy

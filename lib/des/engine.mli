@@ -79,6 +79,16 @@ val run_until : t -> Time.t -> unit
 val run_for : t -> Time.span -> unit
 (** [run_until] the current time plus a span. *)
 
+val poll :
+  t -> timeout:Time.span -> ?every:Time.span -> (unit -> bool) -> bool
+(** [poll t ~timeout ?every cond] runs the engine in slices of [every]
+    (default 1 ms) until [cond ()] holds — [true] — or [timeout] has
+    passed — [false], with the clock exactly at the deadline (the last
+    slice is clamped to it).  [cond] is evaluated once at entry and then
+    only after a slice that processed at least one event, so it must
+    read simulation state alone.  The loop schedules no event of its
+    own.  Raises [Invalid_argument] if [every <= 0]. *)
+
 val step : t -> bool
 (** Process the single next event; [false] if the queue was empty. *)
 

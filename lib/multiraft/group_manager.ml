@@ -110,17 +110,7 @@ let leaderless t =
   !n
 
 let await_leaders t ~timeout =
-  let deadline = Des.Time.add (now t) timeout in
-  let rec poll () =
-    if leaderless t = 0 then true
-    else if now t >= deadline then false
-    else begin
-      Des.Engine.run_until t.engine
-        (Stdlib.min deadline (Des.Time.add (now t) (Des.Time.ms 1)));
-      poll ()
-    end
-  in
-  poll ()
+  Des.Engine.poll t.engine ~timeout (fun () -> leaderless t = 0)
 
 (* How evenly leadership landed: counts by replica slot (leader id minus
    the group's base), one cell per slot. *)

@@ -1,5 +1,4 @@
 module Cluster = Harness.Cluster
-module Fault = Harness.Fault
 module Monitor = Harness.Monitor
 
 type safety_row = {
@@ -12,56 +11,70 @@ type safety_row = {
 
 let dynatune_with f = Raft.Config.dynatune ~cfg:(f Dynatune.Config.default) ()
 
-let count_expiries cluster ~from ~until =
-  let n = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster)
-    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
-      if time > from && time <= until then
-        match probe with
-        | Raft.Probe.Timeout_expired _ -> incr n
-        | Raft.Probe.Role_change _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Election_started _ | Raft.Probe.Node_paused _
-        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
-        | Raft.Probe.Vote_received _ ->
-            ());
-  !n
+(* Timer expiries since [from], up to now. *)
+let false_timeouts cluster ~from =
+  (Monitor.tally (Cluster.trace cluster) ~from ~until:(Cluster.now cluster))
+    .Monitor.timeouts
 
-(* Mean of a per-second-sampled quantity over a window, ignoring NaNs
-   (samples taken while warming / leaderless are excluded). *)
-let sampled_mean cluster ~duration ~read =
+(* Per-second samples of [read] over [duration] (Monitor.watch), with the
+   [None] gaps — warming, leaderless — left out of the accumulator. *)
+let sampled cluster ~duration read =
   let w = Stats.Welford.create () in
-  let engine = Cluster.engine cluster in
-  let stop_at = Des.Time.add (Des.Engine.now engine) duration in
-  let rec arm () =
-    ignore
-      (Des.Engine.schedule_after engine (Des.Time.sec 1) Des.Engine.thunk
-         (fun () ->
-           (match read cluster with
-           | Some v -> Stats.Welford.add w v
-           | None -> ());
-           if Des.Engine.now engine < stop_at then arm ())
-         () 0
-        : Des.Engine.handle)
-  in
-  arm ();
-  Des.Engine.run_until engine stop_at;
+  List.iter
+    (fun (_, ts) ->
+      List.iter
+        (fun (_, v) -> if not (Float.is_nan v) then Stats.Welford.add w v)
+        (Stats.Timeseries.points ts))
+    (Monitor.watch cluster ~every:(Des.Time.sec 1) ~duration
+       ~probes:
+         [ { Monitor.name = "sample"; read = (fun c -> Monitor.gap (read c)) } ]);
+  w
+
+let mean_or_nan w =
   if Stats.Welford.count w = 0 then nan else Stats.Welford.mean w
+
+let is_follower cluster id =
+  match Cluster.leader cluster with
+  | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
+  | None -> true
+
+(* Every follower's tuner has left Step 0. *)
+let followers_tuned cluster =
+  List.for_all
+    (fun id ->
+      (not (is_follower cluster id))
+      ||
+      match Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id)) with
+      | Some t -> Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned
+      | None -> false)
+    (Cluster.node_ids cluster)
+
+(* Re-tuned after the RTT step to 150 ms: every follower tuned and the
+   majority randomized timeout above the new RTT. *)
+let adapted cluster =
+  followers_tuned cluster
+  &&
+  match Monitor.majority_randomized_ms cluster with
+  | Some v -> v >= 150.
+  | None -> false
+
+(* Poll in 100 ms slices until [cond] holds or the absolute [limit]
+   passes; the instant it stopped. *)
+let wait_until cluster ~limit cond =
+  ignore
+    (Des.Engine.poll (Cluster.engine cluster)
+       ~timeout:(Des.Time.diff limit (Cluster.now cluster))
+       ~every:(Des.Time.ms 100) cond
+      : bool);
+  Cluster.now cluster
 
 (* Mean tuned Et across followers whose tuner has left Step 0; [None]
    when none is tuned right now. *)
 let tuned_follower_et cluster =
-  let leader = Option.map Raft.Node.id (Cluster.leader cluster) in
   let ets =
     List.filter_map
       (fun id ->
-        let skip =
-          match leader with
-          | Some l -> Netsim.Node_id.equal l id
-          | None -> false
-        in
-        if skip then None
+        if not (is_follower cluster id) then None
         else
           match
             Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id))
@@ -100,27 +113,15 @@ let safety_factor_sweep ?(seed = 31L) ?(values = [ 0.; 1.; 2.; 3.; 4. ])
       Des.Mtrace.clear (Cluster.trace cluster);
       let from = Cluster.now cluster in
       let et_mean_ms =
-        sampled_mean cluster ~duration:quiet ~read:tuned_follower_et
+        mean_or_nan (sampled cluster ~duration:quiet tuned_follower_et)
       in
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
-      in
-      (* Failure campaign. *)
-      let det = ref [] and ots = ref [] in
-      let measured = ref 0 and attempts = ref 0 in
-      while !measured < failures && !attempts < 2 * failures do
-        incr attempts;
-        match Fault.fail_and_measure cluster () with
-        | Error _ -> Cluster.run_for cluster (Des.Time.sec 5)
-        | Ok o ->
-            incr measured;
-            det := o.Fault.detection_ms :: !det;
-            ots := o.Fault.ots_ms :: !ots
-      done;
+      let false_timeouts = false_timeouts cluster ~from in
+      let raw = Measure.failures cluster ~quota:failures in
       {
         s;
-        detection_mean_ms = Stats.Summary.(mean (of_list !det));
-        ots_mean_ms = Stats.Summary.(mean (of_list !ots));
+        detection_mean_ms =
+          Stats.Summary.(mean (of_list raw.Measure.detection));
+        ots_mean_ms = Stats.Summary.(mean (of_list raw.Measure.ots));
         et_mean_ms;
         false_timeouts;
       })
@@ -159,20 +160,14 @@ let arrival_probability_sweep ?(seed = 37L)
       (* Sample the h the leader actually applies toward one follower
          over the quiet period (warming dips excluded as NaN). *)
       let follower =
-        List.find
-          (fun id ->
-            match Cluster.leader cluster with
-            | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-            | None -> true)
-          (Cluster.node_ids cluster)
+        List.find (is_follower cluster) (Cluster.node_ids cluster)
       in
       let h_ms =
-        sampled_mean cluster ~duration:quiet ~read:(fun c ->
-            Monitor.leader_h_ms c ~follower)
+        mean_or_nan
+          (sampled cluster ~duration:quiet (fun c ->
+               Monitor.leader_h_ms c ~follower))
       in
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
-      in
+      let false_timeouts = false_timeouts cluster ~from in
       let k = Dynatune.Tuner.required_heartbeats_for ~p:loss ~x in
       {
         x;
@@ -218,51 +213,20 @@ let list_size_sweep ?(seed = 41L) ?(values = [ 5; 20; 50; 100 ]) ?(jobs = 1)
         | None -> failwith "ablation: initial election failed"
       in
       (* Warm-up duration: run until every follower's tuner is Tuned. *)
-      let followers () =
-        List.filter
-          (fun id ->
-            match Cluster.leader cluster with
-            | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-            | None -> true)
-          (Cluster.node_ids cluster)
+      let tuned_at =
+        wait_until cluster ~limit:(Des.Time.sec 110) (fun () ->
+            followers_tuned cluster)
       in
-      let all_tuned () =
-        List.for_all
-          (fun id ->
-            match Raft.Server.tuner (Raft.Node.server (Cluster.node cluster id)) with
-            | Some t -> Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned
-            | None -> false)
-          (followers ())
-      in
-      let rec wait_tuned limit =
-        if all_tuned () then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_tuned limit
-        end
-      in
-      let tuned_at = wait_tuned (Des.Time.sec 110) in
       let warmup_ms = Des.Time.to_ms_f (Des.Time.diff tuned_at elected) in
       (* Adaptation: run to the RTT step, then wait until every follower
          has re-tuned (left Step 0 again — the step typically trips timers
          and falls back to defaults) and the majority randomized timeout
          accommodates the new RTT. *)
       Des.Engine.run_until (Cluster.engine cluster) step_at;
-      let rec wait_adapted limit =
-        if
-          all_tuned ()
-          && (match Monitor.majority_randomized_ms cluster with
-             | Some v -> v >= 150.
-             | None -> false)
-        then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_adapted limit
-        end
+      let adapted_at =
+        wait_until cluster ~limit:(Des.Time.add step_at (Des.Time.sec 120))
+          (fun () -> adapted cluster)
       in
-      let adapted_at = wait_adapted (Des.Time.add step_at (Des.Time.sec 120)) in
       {
         min_list_size;
         warmup_ms;
@@ -312,69 +276,19 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
       (* Steady jittery period: Et level, Et stability, false trips. *)
       Des.Mtrace.clear (Cluster.trace cluster);
       let from = Cluster.now cluster in
-      let et = Stats.Welford.create () in
-      let engine = Cluster.engine cluster in
-      let stop_at = Des.Time.add from (Des.Time.sec 100) in
-      let rec arm () =
-        ignore
-          (Des.Engine.schedule_after engine (Des.Time.sec 1) Des.Engine.thunk
-             (fun () ->
-               (match tuned_follower_et cluster with
-               | Some v -> Stats.Welford.add et v
-               | None -> ());
-               if Des.Engine.now engine < stop_at then arm ())
-             () 0
-            : Des.Engine.handle)
+      let et =
+        sampled cluster ~duration:(Des.Time.sec 100) tuned_follower_et
       in
-      arm ();
-      Des.Engine.run_until engine stop_at;
-      let false_timeouts =
-        count_expiries cluster ~from ~until:(Cluster.now cluster)
-      in
+      let false_timeouts = false_timeouts cluster ~from in
       (* Adaptation to the RTT step. *)
-      Des.Engine.run_until engine step_at;
-      let all_tuned_and_adapted () =
-        (match Monitor.majority_randomized_ms cluster with
-        | Some v -> v >= 150.
-        | None -> false)
-        && List.for_all
-             (fun id ->
-               match
-                 Raft.Server.tuner
-                   (Raft.Node.server (Cluster.node cluster id))
-               with
-               | Some t -> Dynatune.Tuner.phase t = Dynatune.Tuner.Tuned
-               | None -> false)
-             (List.filter
-                (fun id ->
-                  match Cluster.leader cluster with
-                  | Some l -> not (Netsim.Node_id.equal (Raft.Node.id l) id)
-                  | None -> true)
-                (Cluster.node_ids cluster))
-      in
-      let rec wait_adapted limit =
-        if all_tuned_and_adapted () then Cluster.now cluster
-        else if Cluster.now cluster >= limit then Cluster.now cluster
-        else begin
-          Cluster.run_for cluster (Des.Time.ms 100);
-          wait_adapted limit
-        end
-      in
+      Des.Engine.run_until (Cluster.engine cluster) step_at;
       let adapted_at =
-        wait_adapted (Des.Time.add step_at (Des.Time.sec 120))
+        wait_until cluster ~limit:(Des.Time.add step_at (Des.Time.sec 120))
+          (fun () -> adapted cluster)
       in
       (* Small failover campaign at the new level. *)
       Cluster.run_for cluster (Des.Time.sec 10);
-      let det = ref [] in
-      let measured = ref 0 and attempts = ref 0 in
-      while !measured < failures && !attempts < 2 * failures do
-        incr attempts;
-        match Fault.fail_and_measure cluster () with
-        | Error _ -> Cluster.run_for cluster (Des.Time.sec 5)
-        | Ok o ->
-            incr measured;
-            det := o.Fault.detection_ms :: !det
-      done;
+      let raw = Measure.failures cluster ~quota:failures in
       {
         estimator = name;
         et_steady_ms = Stats.Welford.mean et;
@@ -382,7 +296,8 @@ let estimator_sweep ?(seed = 47L) ?(failures = 40) ?(jobs = 1) () =
         adaptation_up_ms =
           Des.Time.to_ms_f (Des.Time.diff adapted_at step_at);
         false_timeouts;
-        detection_mean_ms = Stats.Summary.(mean (of_list !det));
+        detection_mean_ms =
+          Stats.Summary.(mean (of_list raw.Measure.detection));
       })
        backends
 

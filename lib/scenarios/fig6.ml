@@ -77,20 +77,10 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
         (sec, (Netsim.Conditions.at conditions t).Netsim.Conditions.rtt_ms))
       majority_timeout
   in
-  let false_timeouts = ref 0 and aborts = ref 0 and elections = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster)
-    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
-      if time > measure_from && time <= measure_until then
-        match probe with
-        | Raft.Probe.Timeout_expired _ -> incr false_timeouts
-        | Raft.Probe.Pre_vote_aborted _ -> incr aborts
-        | Raft.Probe.Election_started _ -> incr elections
-        | Raft.Probe.Role_change _ | Raft.Probe.Tuner_reset _
-        | Raft.Probe.Tuner_decision _ | Raft.Probe.Node_paused _
-        | Raft.Probe.Node_resumed _ | Raft.Probe.Config_change _
-        | Raft.Probe.Transfer_started _ | Raft.Probe.Transfer_aborted _
-        | Raft.Probe.Vote_received _ ->
-            ());
+  let counts =
+    Monitor.tally (Cluster.trace cluster) ~from:measure_from
+      ~until:measure_until
+  in
   let ots =
     Monitor.leaderless_intervals cluster ~from:measure_from
       ~until:measure_until
@@ -102,9 +92,9 @@ let run ?(seed = 11L) ?(hold = Des.Time.sec 60)
     ots;
     ots_total_ms =
       Monitor.total_ots_ms cluster ~from:measure_from ~until:measure_until;
-    false_timeouts = !false_timeouts;
-    pre_vote_aborts = !aborts;
-    elections = !elections;
+    false_timeouts = counts.Monitor.timeouts;
+    pre_vote_aborts = counts.Monitor.pre_vote_aborts;
+    elections = counts.Monitor.elections;
   }
 
 let compare_modes ?(seed = 11L) ?hold ?(jobs = 1) ~pattern () =

@@ -87,19 +87,10 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
         (sec, 100. *. (Netsim.Conditions.at conditions t).Netsim.Conditions.loss))
       h
   in
-  let elections = ref 0 and expiries = ref 0 in
-  Des.Mtrace.iter (Cluster.trace cluster)
-    ~f:(fun { Des.Mtrace.at = time; ev = probe; _ } ->
-      if time > measure_from && time <= measure_until then
-        match probe with
-        | Raft.Probe.Election_started _ -> incr elections
-        | Raft.Probe.Timeout_expired _ -> incr expiries
-        | Raft.Probe.Role_change _ | Raft.Probe.Pre_vote_aborted _
-        | Raft.Probe.Tuner_reset _ | Raft.Probe.Tuner_decision _
-        | Raft.Probe.Node_paused _ | Raft.Probe.Node_resumed _
-        | Raft.Probe.Config_change _ | Raft.Probe.Transfer_started _
-        | Raft.Probe.Transfer_aborted _ | Raft.Probe.Vote_received _ ->
-            ());
+  let counts =
+    Monitor.tally (Cluster.trace cluster) ~from:measure_from
+      ~until:measure_until
+  in
   {
     mode = Raft.Config.mode_name config;
     n;
@@ -107,8 +98,8 @@ let run ?(seed = 19L) ?(hold = Des.Time.sec 180)
     h;
     leader_cpu = series "leader_cpu";
     follower_cpu = series "follower_cpu";
-    elections = !elections;
-    timer_expiries = !expiries;
+    elections = counts.Monitor.elections;
+    timer_expiries = counts.Monitor.timeouts;
   }
 
 let compare_modes ?(seed = 19L) ?hold ?(jobs = 1) ~ns () =

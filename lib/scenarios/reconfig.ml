@@ -164,22 +164,6 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
     in
     go ()
   in
-  let leader_server () =
-    Option.map Raft.Node.server (Cluster.leader cluster)
-  in
-  let quiet () =
-    match leader_server () with
-    | None -> false
-    | Some s ->
-        Raft.Server.pending_config s = None
-        && Raft.Server.transfer_pending s = None
-  in
-  let voter id () =
-    match leader_server () with
-    | None -> false
-    | Some s ->
-        Raft.Server.is_voter s id && Raft.Server.pending_config s = None
-  in
   (* Submitting a change retries through leader churn: [`Not_leader] and
      [`Pending] resolve as the engine advances. *)
   let submit ~phase change =
@@ -209,9 +193,11 @@ let shard_campaign ?jitter ?loss ~rate ~check ~telemetry ~config ~on_cluster
             (Geo.conditions ?jitter ?loss a b))
       (Cluster.node_ids cluster);
     if submit ~phase:entry_phase (Raft.Log.Add_learner nid) then begin
-      ignore (spin ~phase:entry_phase (voter nid));
+      ignore
+        (spin ~phase:entry_phase (fun () -> Cluster.is_voter cluster nid));
       if submit ~phase:Graceful (Raft.Log.Remove old) then begin
-        ignore (spin ~phase:Graceful quiet);
+        ignore
+          (spin ~phase:Graceful (fun () -> Cluster.config_quiet cluster));
         Cluster.retire cluster old;
         incr replacements
       end

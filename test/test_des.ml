@@ -204,6 +204,62 @@ let test_engine_counters () =
   Alcotest.(check int) "processed" 5 (Engine.processed_events e);
   Alcotest.(check int) "drained" 0 (Engine.pending_events e)
 
+(* {2 Poll} *)
+
+(* A cond that records the clock at every call and holds once [fired]
+   is set — by the test, or by an event scheduled with [at]. *)
+let poll_probe e =
+  let calls = ref [] and fired = ref false in
+  let cond () =
+    calls := Engine.now e :: !calls;
+    !fired
+  in
+  let at time f =
+    ignore (Engine.schedule_at e time Engine.thunk f () 0 : Engine.handle)
+  in
+  (calls, fired, at, cond)
+
+let test_poll_true_at_entry () =
+  let e = Engine.create () in
+  let calls, fired, at, cond = poll_probe e in
+  at (Time.us 500) ignore;
+  fired := true;
+  Alcotest.(check bool) "holds" true (Engine.poll e ~timeout:(Time.sec 1) cond);
+  Alcotest.(check (list int)) "one call, at entry" [ 0 ] !calls;
+  Alcotest.(check int) "no slice ran" 0 (Engine.processed_events e)
+
+let test_poll_clamps_at_deadline () =
+  let e = Engine.create () in
+  let _, _, _, cond = poll_probe e in
+  Alcotest.(check bool) "times out" false
+    (Engine.poll e ~timeout:(Time.ms 10) ~every:(Time.ms 3) cond);
+  Alcotest.(check int) "stops exactly at the deadline" (Time.ms 10)
+    (Engine.now e)
+
+(* Conditions over simulation state only change when an event runs, so
+   the poll re-checks after busy slices alone: an event at 3.5 ms makes
+   the slice ending at 4 ms busy, every other slice is idle. *)
+let test_poll_skips_idle_slices () =
+  let e = Engine.create () in
+  let calls, _, at, cond = poll_probe e in
+  at (Time.us 3500) ignore;
+  Alcotest.(check bool) "times out" false
+    (Engine.poll e ~timeout:(Time.ms 10) cond);
+  Alcotest.(check (list int)) "entry, then after the busy slice"
+    [ 0; Time.ms 4 ] (List.rev !calls)
+
+let test_poll_coarse_slices () =
+  let e = Engine.create () in
+  let calls, fired, at, cond = poll_probe e in
+  at (Time.ms 50) ignore;
+  at (Time.ms 150) (fun () -> fired := true);
+  Alcotest.(check bool) "holds" true
+    (Engine.poll e ~timeout:(Time.sec 1) ~every:(Time.ms 100) cond);
+  Alcotest.(check (list int)) "checked on 100 ms boundaries"
+    [ 0; Time.ms 100; Time.ms 200 ] (List.rev !calls);
+  Alcotest.(check int) "stops at the boundary after the event" (Time.ms 200)
+    (Engine.now e)
+
 (* {2 Timer} *)
 
 let test_timer_fires_once () =
@@ -438,6 +494,13 @@ let tests =
     Alcotest.test_case "engine: past deadline has one message" `Quick
       test_engine_past_message;
     Alcotest.test_case "engine: counters" `Quick test_engine_counters;
+    Alcotest.test_case "poll: true at entry runs no slice" `Quick
+      test_poll_true_at_entry;
+    Alcotest.test_case "poll: last slice clamped at the deadline" `Quick
+      test_poll_clamps_at_deadline;
+    Alcotest.test_case "poll: idle slices skip the check" `Quick
+      test_poll_skips_idle_slices;
+    Alcotest.test_case "poll: 100 ms slices" `Quick test_poll_coarse_slices;
     Alcotest.test_case "timer: fires once" `Quick test_timer_fires_once;
     Alcotest.test_case "timer: re-arm cancels previous" `Quick
       test_timer_rearm_cancels_previous;

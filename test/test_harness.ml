@@ -159,6 +159,44 @@ let test_monitor_no_ots_in_steady_state () =
   Alcotest.(check (float 1e-6)) "zero OTS" 0.
     (Monitor.total_ots_ms c ~from:t0 ~until:(Cluster.now c))
 
+(* The window is half-open: an entry at [from] belongs to the previous
+   window, one at [until] to this one. *)
+let test_monitor_tally_window () =
+  let e = Des.Engine.create () in
+  let trace = Des.Mtrace.create e in
+  let id = Netsim.Node_id.of_int 1 in
+  let timeout =
+    Raft.Probe.Timeout_expired
+      {
+        id;
+        term = 1;
+        randomized = Time.ms 150;
+        et = Time.ms 100;
+        h = Time.ms 10;
+        k = 1;
+      }
+  in
+  List.iter
+    (fun (ms, ev) ->
+      ignore
+        (Des.Engine.schedule_at e (Time.ms ms) Des.Engine.thunk
+           (fun () -> Des.Mtrace.emit trace ~cause:0 ~parent:0 ev)
+           () 0
+          : Des.Engine.handle))
+    [
+      (10, timeout);
+      (15, Raft.Probe.Pre_vote_aborted { id; term = 1 });
+      (15, Raft.Probe.Election_started { id; term = 2 });
+      (16, Raft.Probe.Role_change { id; role = Raft.Types.Leader; term = 2 });
+      (20, timeout);
+      (25, Raft.Probe.Election_started { id; term = 3 });
+    ];
+  Des.Engine.run e;
+  let t = Monitor.tally trace ~from:(Time.ms 10) ~until:(Time.ms 20) in
+  Alcotest.(check (triple int int int))
+    "(timeouts, elections, pre-vote aborts) in (from, until]" (1, 1, 1)
+    (t.Monitor.timeouts, t.Monitor.elections, t.Monitor.pre_vote_aborts)
+
 (* {2 Congestion} *)
 
 let test_congestion_episodes () =
@@ -319,6 +357,8 @@ let tests =
       test_monitor_leaderless_intervals;
     Alcotest.test_case "monitor: steady state has no OTS" `Quick
       test_monitor_no_ots_in_steady_state;
+    Alcotest.test_case "monitor: tally window" `Quick
+      test_monitor_tally_window;
     Alcotest.test_case "congestion: episode process" `Quick
       test_congestion_episodes;
     Alcotest.test_case "congestion: spec validation" `Quick
